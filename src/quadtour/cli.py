@@ -109,8 +109,10 @@ def cmd_check(args) -> int:
         if p.rows != p.cols:
             raise MatrixParseError("pattern is not square")
         verdict = orthogonality.comb_orthogonal(p)
-        row_ok, row_witness = orthogonality.comb_row_orthogonal(p)
-        col_ok, col_witness = orthogonality.comb_row_orthogonal(p.transpose())
+        row_witness = col_witness = None
+        if not verdict:  # a True verdict means neither side has a witness
+            _, row_witness = orthogonality.comb_row_orthogonal(p)
+            _, col_witness = orthogonality.comb_row_orthogonal(p.transpose())
         result = {
             "verdict": verdict,
             "row_witness": list(row_witness) if row_witness else None,

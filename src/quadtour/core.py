@@ -7,13 +7,16 @@ construction and all derived sets are emitted in ascending vertex order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
     EmptyVertexSet,
+    InvariantViolation,
     MissingOrDoubleArc,
     SelfLoop,
     SizeLimitExceeded,
@@ -29,6 +32,17 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bit_strings(n: int, rows: Sequence[int]) -> list:
+    """Each row as n '0'/'1' characters, character c being bit c (n >= 1)."""
+    fmt = f"0{n}b"
+    return [format(row, fmt)[::-1] for row in rows]
+
+
+def columns(n: int, rows: Sequence[int]) -> list:
+    """The n column bitmasks of an n-wide 0/1 matrix: bit r of column c is entry (r, c)."""
+    return [int("".join(col)[::-1], 2) for col in zip(*bit_strings(n, rows))]
 
 
 class Tournament:
@@ -74,7 +88,7 @@ class Tournament:
         return min(r.bit_count() for r in self.rows)
 
     def min_in_degree(self) -> int:
-        return min(self.in_degree(v) for v in range(self.n))
+        return self.n - 1 - max(r.bit_count() for r in self.rows)
 
     def scores(self) -> tuple:
         return tuple(r.bit_count() for r in self.rows)
@@ -113,12 +127,13 @@ def validate(n: int, rows: Sequence[int]) -> Tournament:
             raise DimensionMismatch(f"row {u} has bits beyond width {n}")
         if (row >> u) & 1:
             raise SelfLoop(u)
-    for u in range(n):
-        for v in range(u + 1, n):
-            fwd = (rows[u] >> v) & 1
-            back = (rows[v] >> u) & 1
-            if fwd + back != 1:
-                raise MissingOrDoubleArc(u, v)
+    # Column u must be the complement of row u off the diagonal.  The XOR is
+    # symmetric, so its first nonzero row u has its lowest bit v > u: the
+    # lexicographically smallest pair with zero or two arcs.
+    for u, col in enumerate(columns(n, rows)):
+        bad = col ^ (full & ~rows[u] & ~(1 << u))
+        if bad:
+            raise MissingOrDoubleArc(u, (bad & -bad).bit_length() - 1)
     return Tournament(n, rows)
 
 
@@ -147,17 +162,16 @@ def induced(t: Tournament, keep) -> Tournament:
     kept = sorted(set(keep))
     if not kept:
         raise EmptyVertexSet("cannot induce on an empty vertex set")
-    for v in kept:
-        t.check_vertex(v)
-    pos = {v: i for i, v in enumerate(kept)}
-    rows = []
-    for v in kept:
-        row = 0
-        for w in iter_bits(t.rows[v]):
-            if w in pos:
-                row |= 1 << pos[w]
-        rows.append(row)
-    return Tournament(len(kept), rows)
+    n, rows = t.n, t.rows
+    if kept[0] < 0 or kept[-1] >= n:
+        # Name the smallest out-of-range vertex, as a per-vertex check would.
+        t.check_vertex(kept[0])
+        t.check_vertex(kept[bisect_left(kept, n)])
+    # In the MSB-first string of a row, bit w sits at index n-1-w; picking the
+    # kept bits from the highest down gives the new row MSB-first as well.
+    pick = itemgetter(*[n - 1 - v for v in reversed(kept)])
+    fmt = f"0{n}b"
+    return Tournament(len(kept), [int("".join(pick(format(rows[v], fmt))), 2) for v in kept])
 
 
 @dataclass(frozen=True)
@@ -184,7 +198,9 @@ def strong_decomposition(t: Tournament) -> StrongDecomposition:
     In a tournament the condensation is a total order and every vertex of an
     earlier component out-scores every vertex of a later one, so sorting by
     score and cutting where the prefix score sum equals C(k,2) + k(n-k)
-    recovers the components.  The cross-arc certificate is asserted.
+    recovers the components.  The cuts and the cross arcs are checked, and
+    InvariantViolation is raised when they fail, which happens only for rows
+    that are not a tournament (the constructor trusts its input).
     """
     n = t.n
     order = sorted(range(n), key=lambda v: (-t.out_degree(v), v))
@@ -197,12 +213,14 @@ def strong_decomposition(t: Tournament) -> StrongDecomposition:
         if prefix == k * (k - 1) // 2 + k * (n - k):
             components.append(tuple(sorted(current)))
             current = []
-    assert not current, "score-prefix cuts must consume every vertex"
+    if current:
+        raise InvariantViolation("score-prefix cuts must consume every vertex")
 
     later = 0
     for comp in reversed(components):
         for v in comp:
-            assert t.rows[v] & later == later, "condensation order violated"
+            if t.rows[v] & later != later:
+                raise InvariantViolation("condensation order violated")
         for v in comp:
             later |= 1 << v
     return StrongDecomposition(tuple(components))

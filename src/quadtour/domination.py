@@ -51,13 +51,13 @@ def dominates(t: Tournament, s: Iterable[int]) -> bool:
 def dominant_pairs(t: Tournament) -> tuple:
     """All pairs {x, y} dominating the tournament, in lexicographic order."""
     full = t.full_mask
-    out = []
-    for u in range(t.n):
-        cu = t.closed_out_mask(u)
-        for v in range(u + 1, t.n):
-            if cu | t.closed_out_mask(v) == full:
-                out.append((u, v))
-    return tuple(out)
+    closed = [t.closed_out_mask(v) for v in range(t.n)]
+    return tuple(
+        (u, v)
+        for u, cu in enumerate(closed)
+        for v, cv in enumerate(closed[u + 1:], u + 1)
+        if cu | cv == full
+    )
 
 
 def domination_number(t: Tournament, *, max_n: int = GAMMA_MAX_N) -> DominationInfo:
@@ -79,23 +79,29 @@ def gamma_exceeds(t: Tournament, k: int) -> bool:
         raise UnsupportedK(f"k must be 1, 2 or 3, got {k}")
     full = t.full_mask
     closed = [t.closed_out_mask(v) for v in range(t.n)]
-    for u in range(t.n):
-        if closed[u] == full:
-            return False
+    if full in closed:
+        return False
     if k == 1:
         return True
-    for u in range(t.n):
-        for v in range(u + 1, t.n):
-            if closed[u] | closed[v] == full:
+    for u, cu in enumerate(closed):
+        for cv in closed[u + 1:]:
+            if cu | cv == full:
                 return False
     if k == 2:
         return True
-    for u in range(t.n):
-        for v in range(u + 1, t.n):
-            uv = closed[u] | closed[v]
-            for w in range(v + 1, t.n):
-                if uv | closed[w] == full:
-                    return False
+    # No pair dominates, so a third vertex w completes {u, v} iff w is in the
+    # closed in-neighbourhood of every vertex that u and v miss.
+    closed_in = [full & ~row | 1 << v for v, row in enumerate(t.rows)]
+    for u, cu in enumerate(closed):
+        for cv in closed[u + 1:]:
+            missed = full & ~(cu | cv)
+            common = full
+            while missed and common:
+                low = missed & -missed
+                common &= closed_in[low.bit_length() - 1]
+                missed ^= low
+            if common:
+                return False
     return True
 
 

@@ -21,6 +21,10 @@ class MissingOrDoubleArc(QuadTourError):
         super().__init__(f"pair ({u},{v}) has zero or two arcs")
 
 
+class InvariantViolation(QuadTourError):
+    """A structural certificate failed; the rows are not a tournament."""
+
+
 class VertexOutOfRange(QuadTourError):
     pass
 

@@ -15,10 +15,7 @@ from .orthogonality import BinaryPattern
 
 
 def render_rows(n: int, rows) -> str:
-    lines = [str(n)]
-    for row in rows:
-        lines.append("".join("1" if (row >> c) & 1 else "0" for c in range(n)))
-    return "\n".join(lines) + "\n"
+    return "\n".join([str(n)] + core.bit_strings(n, rows)) + "\n"
 
 
 def render_tournament(t: Tournament) -> str:
@@ -37,7 +34,7 @@ def parse_pattern(text: str) -> BinaryPattern:
     if not lines:
         raise MatrixParseError("empty input")
     try:
-        n = int(lines[0])
+        n = int(lines[0].removeprefix("\ufeff"))
     except ValueError:
         raise MatrixParseError(f"bad header line {lines[0]!r}") from None
     if n < 1:
@@ -49,7 +46,7 @@ def parse_pattern(text: str) -> BinaryPattern:
     for r, line in enumerate(body):
         if len(line) != n or set(line) - {"0", "1"}:
             raise MatrixParseError(f"body line {r} must be {n} chars of 0/1")
-        bits.append(sum(1 << c for c, ch in enumerate(line) if ch == "1"))
+        bits.append(int(line[::-1], 2))
     return BinaryPattern(n, n, tuple(bits))
 
 
@@ -76,7 +73,7 @@ def to_dot(t: Tournament) -> str:
 def to_json_adjacency(t: Tournament) -> dict:
     return {
         "n": t.n,
-        "rows": ["".join("1" if (row >> c) & 1 else "0" for c in range(t.n)) for row in t.rows],
+        "rows": core.bit_strings(t.n, t.rows),
     }
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .core import Tournament, iter_bits
+from .core import Tournament, columns, iter_bits
 from .errors import NotSquare
 
 
@@ -24,14 +24,9 @@ class BinaryPattern:
     bits: tuple  # bits[r] has bit c set iff entry (r, c) is 1
 
     def transpose(self) -> "BinaryPattern":
-        cols = []
-        for c in range(self.cols):
-            col = 0
-            for r in range(self.rows):
-                if (self.bits[r] >> c) & 1:
-                    col |= 1 << r
-            cols.append(col)
-        return BinaryPattern(self.cols, self.rows, tuple(cols))
+        if not self.rows or not self.cols:
+            return BinaryPattern(self.cols, self.rows, (0,) * self.cols)
+        return BinaryPattern(self.cols, self.rows, tuple(columns(self.cols, self.bits)))
 
     def nnz(self) -> int:
         return sum(row.bit_count() for row in self.bits)
@@ -63,11 +58,8 @@ def comb_row_orthogonal(p: BinaryPattern) -> Tuple[bool, Optional[Tuple[int, int
 
     On failure returns the lexicographically smallest offending row pair.
     """
-    for i in range(p.rows):
-        for j in range(i + 1, p.rows):
-            if (p.bits[i] & p.bits[j]).bit_count() == 1:
-                return False, (i, j)
-    return True, None
+    pair = _first_pair(p.bits, "out")
+    return pair is None, pair
 
 
 def comb_orthogonal(p: BinaryPattern) -> bool:
@@ -100,15 +92,44 @@ class QuadReport:
     witness: Optional[Witness]
 
 
+def _first_pair(rows, side: str) -> Optional[Tuple[int, int]]:
+    """Lexicographically smallest pair u < v failing the side's test, or None.
+
+    "out": rows u and v share exactly one bit.  "in": the union of rows u and
+    v has len(rows) - 2 bits (see _scan_side).
+    """
+    n = len(rows)
+    if side == "out":
+        for u, ru in enumerate(rows):
+            for v in range(u + 1, n):
+                if (ru & rows[v]).bit_count() == 1:
+                    return u, v
+    else:
+        target = n - 2
+        for u, ru in enumerate(rows):
+            for v in range(u + 1, n):
+                if (ru | rows[v]).bit_count() == target:
+                    return u, v
+    return None
+
+
 def _scan_side(t: Tournament, side: str) -> QuadReport:
-    mask = t.out_mask if side == "out" else t.in_mask
-    for u in range(t.n):
-        mu = mask(u)
-        for v in range(u + 1, t.n):
-            common = mu & mask(v)
-            if common.bit_count() == 1:
-                return QuadReport(False, side, Witness(u, v, tuple(iter_bits(common))))
-    return QuadReport(True, side, None)
+    """Scan every pair's common out- or in-neighbourhood for size exactly 1.
+
+    The in side reads the same out-rows: I(u) n I(v) is V minus O(u) u O(v)
+    minus {u, v}, and O(u) u O(v) holds exactly one of u, v (the one beaten),
+    so |I(u) n I(v)| = n - 1 - |O(u) u O(v)|, and a pair fails iff its
+    out-row union has n - 2 bits.  The common set is built for the witness only.
+    """
+    pair = _first_pair(t.rows, side)
+    if pair is None:
+        return QuadReport(True, side, None)
+    u, v = pair
+    if side == "out":
+        common = t.out_mask(u) & t.out_mask(v)
+    else:
+        common = t.in_mask(u) & t.in_mask(v)
+    return QuadReport(False, side, Witness(u, v, tuple(iter_bits(common))))
 
 
 def quadrangularity(t: Tournament, side: str = "both"):
@@ -135,14 +156,12 @@ def is_quadrangular(t: Tournament) -> bool:
 
 
 def closed_union_in_quad(t: Tournament) -> bool:
-    """In-quadrangularity via closed outsets: |O[u] u O[v]| != n-1 for all pairs."""
-    n = t.n
-    for u in range(n):
-        cu = t.closed_out_mask(u)
-        for v in range(u + 1, n):
-            if (cu | t.closed_out_mask(v)).bit_count() == n - 1:
-                return False
-    return True
+    """In-quadrangularity via closed outsets: |O[u] u O[v]| != n-1 for all pairs.
+
+    O[u] u O[v] is O(u) u O(v) plus the one of u, v it lacks, so this is the
+    in-side pair scan's test.
+    """
+    return _scan_side(t, "in").verdict
 
 
 class NnzReport(NamedTuple):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .core import (
+    StrongDecomposition,
     Tournament,
     dual,
     induced,
@@ -38,7 +39,8 @@ class ClassificationTrace:
 
 
 def _without(t: Tournament, drop) -> Tournament:
-    keep = [v for v in range(t.n) if v not in set(drop)]
+    dropped = set(drop)
+    keep = [v for v in range(t.n) if v not in dropped]
     return induced(t, keep)
 
 
@@ -76,8 +78,7 @@ def _receiver_only_conditions(t: Tournament, r: int) -> list:
     ]
 
 
-def _not_strong_conditions(t: Tournament) -> list:
-    decomp = strong_decomposition(t)
+def _not_strong_conditions(t: Tournament, decomp: StrongDecomposition) -> list:
     first = induced(t, decomp.initial)
     last = induced(t, decomp.terminal)
     return [
@@ -144,7 +145,7 @@ def classify(t: Tournament) -> ClassificationTrace:
 
     decomp = strong_decomposition(t)
     if not decomp.is_strong():
-        conds = _not_strong_conditions(t)
+        conds = _not_strong_conditions(t, decomp)
         return ClassificationTrace("not-strong", tuple(conds), all(v for _, v in conds))
 
     if n >= 4:
@@ -171,9 +172,8 @@ def classify(t: Tournament) -> ClassificationTrace:
             verdict,
         )
 
-    return ClassificationTrace(
-        "direct-oracle", (("quadrangular", is_quadrangular(t)),), is_quadrangular(t)
-    )
+    verdict = is_quadrangular(t)
+    return ClassificationTrace("direct-oracle", (("quadrangular", verdict),), verdict)
 
 
 # --- per-theorem verifiers -------------------------------------------------
@@ -209,9 +209,10 @@ def verify_not_strong(t: Tournament) -> bool:
     trans, recv = special_vertices(t)
     if trans is not None or recv is not None:
         raise HypothesisNotSatisfied("neither transmitter nor receiver")
-    if strong_decomposition(t).is_strong():
+    decomp = strong_decomposition(t)
+    if decomp.is_strong():
         raise HypothesisNotSatisfied("not strongly connected")
-    conds = _not_strong_conditions(t)
+    conds = _not_strong_conditions(t, decomp)
     return all(v for _, v in conds) == is_quadrangular(t)
 
 

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from quadtour.cli import main
+from quadtour.errors import MatrixParseError
 from quadtour.generators import random_tournament, rotational, make_symbol
 from quadtour.matrixio import (
+    parse_pattern,
     parse_tournament,
     render_tournament,
     to_dot,
@@ -76,6 +78,27 @@ class TestMatrixRoundTrip:
         assert code == 0
         payload = json.loads(out)
         assert tournament_from_json(payload["result"]) == t
+
+
+class TestParseInput:
+    def test_utf8_bom_before_header_accepted(self):
+        assert parse_tournament("\ufeff3\n010\n001\n100\n") == three_cycle()
+
+    def test_cli_reads_file_with_bom(self, tmp_path, capsys):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf3\n010\n001\n100\n")
+        code, out, _ = run(capsys, ["check", str(path)])
+        assert (code, out) == (0, "quadrangular: True\n")
+
+    @pytest.mark.parametrize("row", ["0_1", "0 1", " 01", "01 ", "+01", "0b1", "-01", "\ufeff01"])
+    def test_body_row_outside_01_rejected(self, row):
+        # int(line, 2) alone would accept several of these.
+        with pytest.raises(MatrixParseError, match="body line 0"):
+            parse_pattern(f"3\n{row}\n001\n100\n")
+
+    def test_json_row_outside_01_rejected(self):
+        with pytest.raises(MatrixParseError):
+            tournament_from_json({"n": 4, "rows": ["0b11", "0010", "0001", "0000"]})
 
 
 class TestExitCodes:

@@ -1,9 +1,15 @@
 """Tests for the tournament representation and structural queries."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import quadtour
 
 from quadtour.core import (
     Tournament,
@@ -18,6 +24,7 @@ from quadtour.core import (
 from quadtour.errors import (
     DimensionMismatch,
     EmptyVertexSet,
+    InvariantViolation,
     MissingOrDoubleArc,
     SelfLoop,
     SizeLimitExceeded,
@@ -167,6 +174,32 @@ class TestStrongDecomposition:
             t = random_tournament(2 + seed % 9, seed)
             for comp in strong_decomposition(t).components:
                 assert is_strongly_connected(induced(t, comp))
+
+    @pytest.mark.parametrize("rows, message", [
+        ([0b110, 0b101, 0b011], "cuts must consume"),  # every pair has two arcs
+        ([0b000, 0b100, 0b011], "condensation order"),  # pair (0,1) has none
+    ])
+    def test_non_tournament_rows_raise(self, rows, message):
+        with pytest.raises(InvariantViolation, match=message):
+            strong_decomposition(Tournament(3, rows))
+
+    def test_non_tournament_rows_raise_under_optimize(self):
+        # python -O strips assert statements; the certificate must survive it.
+        script = (
+            "import sys\n"
+            "from quadtour.core import Tournament, strong_decomposition\n"
+            "from quadtour.errors import InvariantViolation\n"
+            "assert sys.flags.optimize == 0, 'unreachable under -O'\n"
+            "try:\n"
+            "    strong_decomposition(Tournament(3, [0b110, 0b101, 0b011]))\n"
+            "except InvariantViolation:\n"
+            "    print('raised', sys.flags.optimize)\n"
+        )
+        src = str(Path(quadtour.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "raised 1\n"), proc.stderr
 
 
 class TestSpecialVertices:

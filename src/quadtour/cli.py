@@ -11,11 +11,11 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import List, Optional
 
 from . import core, domination, generators, matrixio, orthogonality, symbols, theorems
-from .errors import HypothesisNotSatisfied, MatrixParseError, QuadTourError
+from .errors import (HypothesisNotSatisfied, InvalidSymbol, MatrixParseError,
+                     QuadTourError, SizeLimitExceeded)
 
 SCHEMA_VERSION = "1"
 
@@ -48,7 +48,10 @@ def _read_pattern(path: str) -> orthogonality.BinaryPattern:
 
 
 def _parse_symbol_arg(n: int, text: str) -> generators.Symbol:
-    members = [int(part) for part in text.split(",") if part != ""]
+    try:
+        members = [int(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise InvalidSymbol(f"symbol members must be integers, got {text!r}") from None
     return generators.make_symbol(n, members)
 
 
@@ -253,21 +256,20 @@ def _run_verifiers(instances):
     passes = {name: 0 for name in _VERIFIERS}
     classify_checked = 0
     for t in instances:
-        trace = theorems.classify(t)
-        if trace.verdict != orthogonality.is_quadrangular(t):
+        facts = theorems.Facts(t)  # shared by classify and every verifier
+        if theorems.classify(t, facts).verdict != orthogonality.is_quadrangular(t):
             return passes, classify_checked, ("classify", t)
         classify_checked += 1
         for name, fn in _VERIFIERS.items():
             try:
-                agreed = fn(t)
+                agreed = fn(t, facts)
             except HypothesisNotSatisfied:
                 continue
             if not agreed:
                 return passes, classify_checked, (name, t)
             passes[name] += 1
-        if t.is_regular():
-            if not theorems.verify_regular(t):
-                return passes, classify_checked, ("regular", t)
+        if facts.regular and not theorems.verify_regular(t, facts):
+            return passes, classify_checked, ("regular", t)
     return passes, classify_checked, None
 
 
@@ -277,8 +279,9 @@ def cmd_verify(args) -> int:
     if args.suite in ("theorems", "all"):
         instances.extend(_named_instances())
     if args.suite in ("exhaustive", "all"):
-        if args.n_max > 7:
-            raise QuadTourError(f"exhaustive verification capped at n=7, got {args.n_max}")
+        if not 1 <= args.n_max <= 7:
+            raise SizeLimitExceeded(
+                f"exhaustive verification needs 1 <= n_max <= 7, got {args.n_max}")
         for n in range(1, args.n_max + 1):
             instances.extend(generators.all_tournaments(n))
     passes, classify_checked, failure = _run_verifiers(instances)
@@ -372,14 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run theorem verifiers over corpora")
     verify.add_argument("suite", choices=["all", "theorems", "exhaustive"])
     verify.add_argument("--n-max", type=int, default=5)
-    verify.add_argument("--threads", type=int)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify)
 
     export = sub.add_parser("export", help="export as DOT or JSON")
     export.add_argument("input")
     export.add_argument("--format", choices=["dot", "json"], default="dot")
-    export.add_argument("--json", action="store_true")
     export.set_defaults(func=cmd_export)
 
     return parser

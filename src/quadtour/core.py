@@ -234,10 +234,12 @@ class SpecialVertices(NamedTuple):
 def special_vertices(t: Tournament) -> SpecialVertices:
     """The transmitter (out-degree n-1) and receiver (in-degree n-1), if any."""
     transmitter = receiver = None
-    for v in range(t.n):
-        if t.out_degree(v) == t.n - 1:
+    top = t.n - 1
+    for v, row in enumerate(t.rows):
+        score = row.bit_count()
+        if score == top:
             transmitter = v
-        if t.in_degree(v) == t.n - 1:
+        if score == 0:  # in-degree n - 1
             receiver = v
     return SpecialVertices(transmitter, receiver)
 

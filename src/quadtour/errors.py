@@ -41,6 +41,10 @@ class InvalidSymbol(QuadTourError):
     pass
 
 
+class InvalidSeed(QuadTourError, ValueError):
+    """A random seed outside [0, 2**64); also a ValueError for older callers."""
+
+
 class EvenOrTooSmall(QuadTourError):
     pass
 

@@ -10,6 +10,7 @@ from .core import Tournament
 from .errors import (
     DimensionMismatch,
     EvenOrTooSmall,
+    InvalidSeed,
     InvalidSymbol,
     NotPrime,
     SizeLimitExceeded,
@@ -105,7 +106,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     if n < 1:
         raise DimensionMismatch(f"need n >= 1, got {n}")
     if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        raise InvalidSeed(f"seed must be an unsigned 64-bit integer, got {seed}")
     rng = random.Random(seed)
     rows = [0] * n
     for u in range(n):

@@ -6,26 +6,14 @@ lines of exactly n '0'/'1' characters; row u column v is 1 iff u beats v.
 
 from __future__ import annotations
 
-from typing import List
-
 from . import core
 from .core import Tournament
 from .errors import MatrixParseError, QuadTourError
 from .orthogonality import BinaryPattern
 
 
-def render_rows(n: int, rows) -> str:
-    return "\n".join([str(n)] + core.bit_strings(n, rows)) + "\n"
-
-
 def render_tournament(t: Tournament) -> str:
-    return render_rows(t.n, t.rows)
-
-
-def render_pattern(p: BinaryPattern) -> str:
-    if p.rows != p.cols:
-        raise MatrixParseError(f"matrix file requires a square pattern, got {p.rows}x{p.cols}")
-    return render_rows(p.rows, p.bits)
+    return "\n".join([str(t.n)] + core.bit_strings(t.n, t.rows)) + "\n"
 
 
 def parse_pattern(text: str) -> BinaryPattern:

@@ -1,18 +1,22 @@
-"""Theorem-driven quadrangularity classifier and per-theorem verifiers.
+"""The paper's characterizations as one rule table, read by classify and verify.
 
-classify() decides quadrangularity by the first characterization whose
-hypothesis matches; each verify_* evaluates both sides of one stated
-equivalence independently and reports whether they agree.  A disagreement
-means a library bug (or a falsified statement) and must surface loudly.
+Each characterization is a `Rule` in RULES: its hypothesis, the subjects it
+speaks about (none when the hypothesis fails) and the named conditions that
+decide quadrangularity for a subject.  classify() reports every condition of
+the first rule that has a subject; a rule's verify_* compares its verdict on
+each subject with the direct out/in oracle, and a disagreement means a library
+bug (or a falsified statement).  `Facts(t)` computes each fact the rules read
+on first request and then reuses it.  It serves one tournament: build it per
+instance, pass it to classify and every verifier, and drop it with the
+instance.  Called without one, classify and each verifier build their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
-    StrongDecomposition,
     Tournament,
     dual,
     induced,
@@ -24,11 +28,7 @@ from .core import (
 from .domination import gamma_exceeds
 from .errors import HypothesisNotSatisfied, NotRegular
 from .generators import Symbol, u_n
-from .orthogonality import (
-    is_in_quadrangular,
-    is_out_quadrangular,
-    is_quadrangular,
-)
+from .orthogonality import is_in_quadrangular, is_out_quadrangular, is_quadrangular
 
 
 @dataclass(frozen=True)
@@ -38,275 +38,243 @@ class ClassificationTrace:
     verdict: bool
 
 
+class Rule(NamedTuple):
+    name: str
+    hypothesis: str  # reported by HypothesisNotSatisfied
+    subjects: Callable[[Facts], Sequence]  # empty iff the hypothesis fails
+    conditions: Callable[[Facts, object], Iterable]  # (name, truth value) pairs, in order
+    combine: Callable = all  # the verdict from the condition values
+
+
+# The facts the rules read, by the Facts attribute that holds each one.
+_FACTS = {
+    "scores": lambda f: f.t.scores(),
+    "special": lambda f: special_vertices(f.t),
+    "decomposition": lambda f: strong_decomposition(f.t),
+    "low_out": lambda f: [v for v, s in enumerate(f.scores) if s == 1],
+    "low_in": lambda f: [v for v, s in enumerate(f.scores) if s == f.t.n - 2],
+    "regular": lambda f: f.t.is_regular(),
+    "out_quad": lambda f: is_out_quadrangular(f.t),
+    "in_quad": lambda f: is_in_quadrangular(f.t),
+    "quadrangular": lambda f: f.out_quad and f.in_quad,
+}
+
+
+class Facts:
+    """The facts of _FACTS about one tournament t, each computed on first
+    use, and the trace of each rule on each subject classify asked about.
+    Nothing is cached on the Tournament itself."""
+
+    def __init__(self, t: Tournament):
+        self.t = t
+        self._traces = {}  # (rule name, subject) -> ClassificationTrace
+
+    def __getattr__(self, name: str):
+        # Reached only while the fact is not yet in the instance __dict__.
+        if name not in _FACTS:
+            raise AttributeError(name)
+        value = self.__dict__[name] = _FACTS[name](self)
+        return value
+
+    def trace(self, rule: Rule, subject) -> ClassificationTrace:
+        """Every condition of the rule on subject, and the verdict they give."""
+        key = (rule.name, subject)
+        if key not in self._traces:
+            conds = tuple(rule.conditions(self, subject))
+            verdict = rule.combine(v for _, v in conds)
+            self._traces[key] = ClassificationTrace(rule.name, conds, verdict)
+        return self._traces[key]
+
+    def verdict(self, rule: Rule, subject) -> bool:
+        """The rule's verdict on subject, evaluating conditions only until
+        they settle it unless classify already traced them."""
+        traced = self._traces.get((rule.name, subject))
+        if traced is not None:
+            return traced.verdict
+        return rule.combine(v for _, v in rule.conditions(self, subject))
+
+
 def _without(t: Tournament, drop) -> Tournament:
     dropped = set(drop)
-    keep = [v for v in range(t.n) if v not in dropped]
-    return induced(t, keep)
+    return induced(t, [v for v in range(t.n) if v not in dropped])
 
 
-def _outdeg_one_vertices(t: Tournament) -> list:
-    return [v for v in range(t.n) if t.out_degree(v) == 1]
+def _lone_neighbour(t: Tournament, x: int, side: str):
+    """The one out- (side "O") or in-neighbour ("I") y of x, and whether
+    O(y) (resp. I(y)) is V - {x, y}."""
+    mask = t.out_mask if side == "O" else t.in_mask
+    y = mask(x).bit_length() - 1
+    return y, mask(y) == t.full_mask & ~(1 << x) & ~(1 << y)
 
 
-def _indeg_one_vertices(t: Tournament) -> list:
-    return [v for v in range(t.n) if t.in_degree(v) == 1]
+def _if(holds: bool) -> tuple:
+    """Subjects of a rule about the tournament as a whole."""
+    return (None,) if holds else ()
 
 
-def _transmitter_receiver_conditions(t: Tournament, s: int, r: int) -> list:
-    rest = _without(t, (s, r))
-    return [
-        ("gamma(T-{s,t})>2", gamma_exceeds(rest, 2)),
-        ("gamma((T-{s,t})^r)>2", gamma_exceeds(dual(rest), 2)),
-    ]
+def _transmitter_receiver_conditions(f: Facts, _):
+    rest = _without(f.t, f.special)
+    yield "gamma(T-{s,t})>2", gamma_exceeds(rest, 2)
+    yield "gamma((T-{s,t})^r)>2", gamma_exceeds(dual(rest), 2)
 
 
-def _transmitter_only_conditions(t: Tournament, s: int) -> list:
-    rest = _without(t, (s,))
-    return [
-        ("gamma(T-s)>2", gamma_exceeds(rest, 2)),
-        ("T-s out-quadrangular", is_out_quadrangular(rest)),
-        ("min-outdeg(T-s)>=2", rest.min_out_degree() >= 2),
-    ]
+def _transmitter_only_conditions(f: Facts, _):
+    rest = _without(f.t, (f.special.transmitter,))
+    yield "gamma(T-s)>2", gamma_exceeds(rest, 2)
+    yield "T-s out-quadrangular", is_out_quadrangular(rest)
+    yield "min-outdeg(T-s)>=2", rest.min_out_degree() >= 2
 
 
-def _receiver_only_conditions(t: Tournament, r: int) -> list:
-    rest = _without(t, (r,))
-    return [
-        ("gamma((T-t)^r)>2", gamma_exceeds(dual(rest), 2)),
-        ("T-t in-quadrangular", is_in_quadrangular(rest)),
-        ("min-indeg(T-t)>=2", rest.min_in_degree() >= 2),
-    ]
+def _receiver_only_conditions(f: Facts, _):
+    rest = _without(f.t, (f.special.receiver,))
+    yield "gamma((T-t)^r)>2", gamma_exceeds(dual(rest), 2)
+    yield "T-t in-quadrangular", is_in_quadrangular(rest)
+    yield "min-indeg(T-t)>=2", rest.min_in_degree() >= 2
 
 
-def _not_strong_conditions(t: Tournament, decomp: StrongDecomposition) -> list:
-    first = induced(t, decomp.initial)
-    last = induced(t, decomp.terminal)
-    return [
-        ("initial in-quadrangular", is_in_quadrangular(first)),
-        ("min-indeg(initial)>=2", first.min_in_degree() >= 2),
-        ("terminal out-quadrangular", is_out_quadrangular(last)),
-        ("min-outdeg(terminal)>=2", last.min_out_degree() >= 2),
-    ]
+def _not_strong_conditions(f: Facts, _):
+    first = induced(f.t, f.decomposition.initial)
+    yield "initial in-quadrangular", is_in_quadrangular(first)
+    yield "min-indeg(initial)>=2", first.min_in_degree() >= 2
+    last = induced(f.t, f.decomposition.terminal)
+    yield "terminal out-quadrangular", is_out_quadrangular(last)
+    yield "min-outdeg(terminal)>=2", last.min_out_degree() >= 2
 
 
-def _outdeg_one_conditions(t: Tournament, x: int) -> list:
-    y = next(iter_bits(t.out_mask(x)))
-    rest = _without(t, (x, y))
-    rest_mask = t.full_mask & ~(1 << x) & ~(1 << y)
-    return [
-        ("O(y)=T-{x,y}", t.out_mask(y) == rest_mask),
-        ("gamma(T-{x,y})>2", gamma_exceeds(rest, 2)),
-        ("gamma((T-{x,y})^r)>2", gamma_exceeds(dual(rest), 2)),
-        ("min-outdeg(T-{x,y})>=2", rest.min_out_degree() >= 2),
-        ("min-indeg(T-{x,y})>=2", rest.min_in_degree() >= 2),
-    ]
+def _degree_one_conditions(f: Facts, x: int, side: str):
+    """Conditions for a vertex x of out-degree 1 (side "O") or in-degree 1 ("I")."""
+    y, forced = _lone_neighbour(f.t, x, side)
+    yield f"{side}(y)=T-{{x,y}}", forced
+    rest = _without(f.t, (x, y))
+    yield "gamma(T-{x,y})>2", gamma_exceeds(rest, 2)
+    yield "gamma((T-{x,y})^r)>2", gamma_exceeds(dual(rest), 2)
+    yield "min-outdeg(T-{x,y})>=2", rest.min_out_degree() >= 2
+    yield "min-indeg(T-{x,y})>=2", rest.min_in_degree() >= 2
 
 
-def _indeg_one_conditions(t: Tournament, x: int) -> list:
-    y = next(iter_bits(t.in_mask(x)))
-    rest = _without(t, (x, y))
-    rest_mask = t.full_mask & ~(1 << x) & ~(1 << y)
-    return [
-        ("I(y)=T-{x,y}", t.in_mask(y) == rest_mask),
-        ("gamma(T-{x,y})>2", gamma_exceeds(rest, 2)),
-        ("gamma((T-{x,y})^r)>2", gamma_exceeds(dual(rest), 2)),
-        ("min-outdeg(T-{x,y})>=2", rest.min_out_degree() >= 2),
-        ("min-indeg(T-{x,y})>=2", rest.min_in_degree() >= 2),
-    ]
+def _regular_conditions(f: Facts, _):
+    gamma_at_least_4 = gamma_exceeds(f.t, 3)
+    yield "gamma>=4", gamma_at_least_4
+    if not gamma_at_least_4:  # gamma >= 4 suffices; otherwise out-quadrangularity decides
+        yield "out-quadrangular", f.out_quad
 
 
-def classify(t: Tournament) -> ClassificationTrace:
-    """Decide quadrangularity by the first applicable characterization.
+# In classify's order.  direct-oracle always applies, so it must stay last.
+RULES = {rule.name: rule for rule in (
+    Rule("trivial-small", "n <= 2",
+         lambda f: _if(f.t.n <= 2), lambda f, _: [("n<=2", True)]),
+    Rule("transmitter-receiver", "transmitter and receiver present, n >= 3",
+         lambda f: _if(f.t.n >= 3 and None not in f.special),
+         _transmitter_receiver_conditions),
+    Rule("transmitter-only", "transmitter present, receiver absent",
+         lambda f: _if(f.special.transmitter is not None and f.special.receiver is None),
+         _transmitter_only_conditions),
+    Rule("receiver-only", "receiver present, transmitter absent",
+         lambda f: _if(f.special.receiver is not None and f.special.transmitter is None),
+         _receiver_only_conditions),
+    Rule("not-strong", "neither transmitter nor receiver, not strongly connected",
+         lambda f: _if(f.special == (None, None) and not f.decomposition.is_strong()),
+         _not_strong_conditions),
+    Rule("out-degree-one", "a vertex of out-degree 1, n >= 4",
+         lambda f: f.low_out if f.t.n >= 4 else (),
+         lambda f, x: _degree_one_conditions(f, x, "O")),
+    Rule("in-degree-one", "a vertex of in-degree 1, n >= 4",
+         lambda f: f.low_in if f.t.n >= 4 else (),
+         lambda f, x: _degree_one_conditions(f, x, "I")),
+    Rule("regular", "regular tournament",
+         lambda f: _if(f.regular), _regular_conditions, any),
+    Rule("direct-oracle", "none",
+         lambda f: (None,), lambda f, _: [("quadrangular", f.quadrangular)]),
+)}
 
-    Branch order: trivially small; transmitter+receiver; transmitter only;
-    receiver only; not strongly connected; out-degree-1 vertex (n >= 4);
-    in-degree-1 vertex (n >= 4); regular; direct oracle.
+
+def classify(t: Tournament, facts: Optional[Facts] = None) -> ClassificationTrace:
+    """Decide quadrangularity by the first applicable rule of RULES.
+
+    facts, if given, must be Facts(t).
     """
-    n = t.n
-    if n <= 2:
-        return ClassificationTrace("trivial-small", (("n<=2", True),), True)
-
-    trans, recv = special_vertices(t)
-    if trans is not None and recv is not None:
-        conds = _transmitter_receiver_conditions(t, trans, recv)
-        return ClassificationTrace(
-            "transmitter-receiver", tuple(conds), all(v for _, v in conds)
-        )
-    if trans is not None:
-        conds = _transmitter_only_conditions(t, trans)
-        return ClassificationTrace(
-            "transmitter-only", tuple(conds), all(v for _, v in conds)
-        )
-    if recv is not None:
-        conds = _receiver_only_conditions(t, recv)
-        return ClassificationTrace(
-            "receiver-only", tuple(conds), all(v for _, v in conds)
-        )
-
-    decomp = strong_decomposition(t)
-    if not decomp.is_strong():
-        conds = _not_strong_conditions(t, decomp)
-        return ClassificationTrace("not-strong", tuple(conds), all(v for _, v in conds))
-
-    if n >= 4:
-        low_out = _outdeg_one_vertices(t)
-        if low_out:
-            conds = _outdeg_one_conditions(t, low_out[0])
-            return ClassificationTrace(
-                "out-degree-one", tuple(conds), all(v for _, v in conds)
-            )
-        low_in = _indeg_one_vertices(t)
-        if low_in:
-            conds = _indeg_one_conditions(t, low_in[0])
-            return ClassificationTrace(
-                "in-degree-one", tuple(conds), all(v for _, v in conds)
-            )
-
-    if t.is_regular():
-        if gamma_exceeds(t, 3):
-            return ClassificationTrace("regular", (("gamma>=4", True),), True)
-        verdict = is_out_quadrangular(t)
-        return ClassificationTrace(
-            "regular",
-            (("gamma>=4", False), ("out-quadrangular", verdict)),
-            verdict,
-        )
-
-    verdict = is_quadrangular(t)
-    return ClassificationTrace("direct-oracle", (("quadrangular", verdict),), verdict)
+    f = Facts(t) if facts is None else facts
+    for rule in RULES.values():
+        subjects = rule.subjects(f)
+        if subjects:
+            return f.trace(rule, subjects[0])
 
 
 # --- per-theorem verifiers -------------------------------------------------
+# Each takes an optional Facts(t) shared with classify and the other verifiers.
 
 
-def verify_transmitter_receiver(t: Tournament) -> bool:
-    if t.n < 3:
-        raise HypothesisNotSatisfied("tournament on 3 or more vertices")
-    trans, recv = special_vertices(t)
-    if trans is None or recv is None:
-        raise HypothesisNotSatisfied("transmitter and receiver present")
-    conds = _transmitter_receiver_conditions(t, trans, recv)
-    return all(v for _, v in conds) == is_quadrangular(t)
+def _verifier(name: str) -> Callable[..., bool]:
+    """The verifier of rule `name`: its verdict on every subject equals the
+    direct oracle."""
+
+    def verify(t: Tournament, facts: Optional[Facts] = None) -> bool:
+        rule = RULES[name]
+        f = Facts(t) if facts is None else facts
+        subjects = rule.subjects(f)
+        if not subjects:
+            raise HypothesisNotSatisfied(rule.hypothesis)
+        return all(f.verdict(rule, s) == f.quadrangular for s in subjects)
+
+    return verify
 
 
-def verify_transmitter_only(t: Tournament) -> bool:
-    trans, recv = special_vertices(t)
-    if trans is None or recv is not None:
-        raise HypothesisNotSatisfied("transmitter present, receiver absent")
-    conds = _transmitter_only_conditions(t, trans)
-    return all(v for _, v in conds) == is_quadrangular(t)
+verify_transmitter_receiver = _verifier("transmitter-receiver")
+verify_transmitter_only = _verifier("transmitter-only")
+verify_receiver_only = _verifier("receiver-only")
+verify_not_strong = _verifier("not-strong")
+verify_outdeg_one = _verifier("out-degree-one")
+verify_indeg_one = _verifier("in-degree-one")
 
 
-def verify_receiver_only(t: Tournament) -> bool:
-    trans, recv = special_vertices(t)
-    if recv is None or trans is not None:
-        raise HypothesisNotSatisfied("receiver present, transmitter absent")
-    conds = _receiver_only_conditions(t, recv)
-    return all(v for _, v in conds) == is_quadrangular(t)
-
-
-def verify_not_strong(t: Tournament) -> bool:
-    trans, recv = special_vertices(t)
-    if trans is not None or recv is not None:
-        raise HypothesisNotSatisfied("neither transmitter nor receiver")
-    decomp = strong_decomposition(t)
-    if decomp.is_strong():
-        raise HypothesisNotSatisfied("not strongly connected")
-    conds = _not_strong_conditions(t, decomp)
-    return all(v for _, v in conds) == is_quadrangular(t)
-
-
-def verify_outdeg_one(t: Tournament) -> bool:
-    if t.n < 4:
-        raise HypothesisNotSatisfied("tournament on 4 or more vertices")
-    low = _outdeg_one_vertices(t)
-    if not low:
-        raise HypothesisNotSatisfied("a vertex of out-degree 1")
-    oracle = is_quadrangular(t)
-    return all(
-        all(v for _, v in _outdeg_one_conditions(t, x)) == oracle for x in low
-    )
-
-
-def verify_indeg_one(t: Tournament) -> bool:
-    if t.n < 4:
-        raise HypothesisNotSatisfied("tournament on 4 or more vertices")
-    low = _indeg_one_vertices(t)
-    if not low:
-        raise HypothesisNotSatisfied("a vertex of in-degree 1")
-    oracle = is_quadrangular(t)
-    return all(
-        all(v for _, v in _indeg_one_conditions(t, x)) == oracle for x in low
-    )
-
-
-def verify_degree_lemmas(t: Tournament) -> bool:
+def verify_degree_lemmas(t: Tournament, facts: Optional[Facts] = None) -> bool:
     """Forced structure around degree-1 vertices of quadrangular tournaments.
 
     If x has out-degree 1 with x -> y then O(y) = V - {x, y}; dually for
     in-degree 1.
     """
-    if not is_quadrangular(t):
+    f = Facts(t) if facts is None else facts
+    if not f.quadrangular:
         raise HypothesisNotSatisfied("quadrangular tournament")
-    low_out = _outdeg_one_vertices(t)
-    low_in = _indeg_one_vertices(t)
-    if not low_out and not low_in:
+    if not f.low_out and not f.low_in:
         raise HypothesisNotSatisfied("a vertex of out-degree 1 or in-degree 1")
-    for x in low_out:
-        y = next(iter_bits(t.out_mask(x)))
-        if t.out_mask(y) != t.full_mask & ~(1 << x) & ~(1 << y):
-            return False
-    for x in low_in:
-        y = next(iter_bits(t.in_mask(x)))
-        if t.in_mask(y) != t.full_mask & ~(1 << x) & ~(1 << y):
-            return False
-    return True
+    return all(_lone_neighbour(t, x, "O")[1] for x in f.low_out) and all(
+        _lone_neighbour(t, x, "I")[1] for x in f.low_in
+    )
 
 
-def verify_subtournament_degrees(t: Tournament) -> bool:
+def verify_subtournament_degrees(t: Tournament, facts: Optional[Facts] = None) -> bool:
     """Outset/inset sub-tournament degree facts and the min-degree-4 corollaries.
 
-    All statements are implications and hold vacuously when their hypotheses
-    fail.
+    The two-sided corollary follows from the one-sided ones.  All statements
+    are implications and hold vacuously when their hypotheses fail.
     """
-    out_quad = is_out_quadrangular(t)
-    in_quad = is_in_quadrangular(t)
-    if out_quad:
+    f = Facts(t) if facts is None else facts
+    sides = (
+        (f.out_quad, t.out_mask, Tournament.out_degree, t.min_out_degree()),
+        (f.in_quad, t.in_mask, Tournament.in_degree, t.min_in_degree()),
+    )
+    for quad, mask, degree, min_degree in sides:
+        if not quad:
+            continue
         for v in range(t.n):
-            if t.out_degree(v) == 0:
+            if not mask(v):
                 continue
-            sub = induced(t, list(iter_bits(t.out_mask(v))))
-            if any(sub.out_degree(w) == 1 for w in range(sub.n)):
+            sub = induced(t, iter_bits(mask(v)))
+            if any(degree(sub, w) == 1 for w in range(sub.n)):
                 return False
-        if t.min_out_degree() >= 2 and t.min_out_degree() < 4:
+        if 2 <= min_degree < 4:
             return False
-    if in_quad:
-        for v in range(t.n):
-            if t.in_degree(v) == 0:
-                continue
-            sub = induced(t, list(iter_bits(t.in_mask(v))))
-            if any(sub.in_degree(w) == 1 for w in range(sub.n)):
-                return False
-        if t.min_in_degree() >= 2 and t.min_in_degree() < 4:
-            return False
-    if out_quad and in_quad:
-        if t.min_out_degree() >= 2 and t.min_in_degree() >= 2:
-            if t.min_out_degree() < 4 or t.min_in_degree() < 4:
-                return False
     return True
 
 
-def verify_regular(t: Tournament) -> bool:
+def verify_regular(t: Tournament, facts: Optional[Facts] = None) -> bool:
     """Out/in/both verdicts coincide on regular tournaments; gamma >= 4 suffices."""
-    if not t.is_regular():
+    f = Facts(t) if facts is None else facts
+    if not f.regular:
         raise NotRegular("tournament is not regular")
-    out_quad = is_out_quadrangular(t)
-    in_quad = is_in_quadrangular(t)
-    if not (out_quad == in_quad == (out_quad and in_quad)):
-        return False
-    if gamma_exceeds(t, 3) and not out_quad:
-        return False
-    return True
+    # The regular rule's verdict is "gamma >= 4 or out-quadrangular".
+    return f.out_quad == f.in_quad == f.verdict(RULES["regular"], None)
 
 
 def verify_rotational_dichotomy(t: Tournament, sym: Symbol) -> bool:

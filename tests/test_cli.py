@@ -139,6 +139,29 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["verify", "exhaustive", "--n-max", "9"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "random", "--n", "5", "--seed", "-1"],
+        ["gen", "rotational", "--n", "7", "--symbol", "1,a"],
+    ])
+    def test_bad_generator_input_is_two(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("suite", ["exhaustive", "all"])
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_empty_sweep_is_two(self, capsys, suite, n_max):
+        code, out, err = run(capsys, ["verify", suite, "--n-max", n_max])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "exhaustive", "--n-max", "3", "--threads", "2"],
+        ["export", "t.txt", "--json"],
+    ])
+    def test_removed_options_are_usage_errors(self, argv):
+        assert main(argv) == 2
+
     def test_usage_error_is_two(self, capsys):
         assert main(["check"]) == 2
 

@@ -5,8 +5,10 @@ import pytest
 from quadtour.core import dual, induced, validate
 from quadtour.errors import (
     EvenOrTooSmall,
+    InvalidSeed,
     InvalidSymbol,
     NotPrime,
+    QuadTourError,
     SizeLimitExceeded,
     WrongResidueClass,
 )
@@ -102,6 +104,12 @@ class TestRandomTournament:
     def test_degenerate(self):
         t = random_tournament(1, 0)
         assert t.n == 1 and t.rows == (0,)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_bad_seed_is_library_error_and_value_error(self, seed):
+        with pytest.raises(InvalidSeed) as info:
+            random_tournament(5, seed)
+        assert isinstance(info.value, QuadTourError) and isinstance(info.value, ValueError)
 
     def test_valid_and_forced_degree_sum(self):
         for seed in range(50):

@@ -1,9 +1,13 @@
 """Tests for the classifier and the per-theorem verifiers."""
 
+import collections
+import json
+
 import pytest
 
+from quadtour import cli, theorems
 from quadtour.core import dual
-from quadtour.errors import HypothesisNotSatisfied, NotRegular
+from quadtour.errors import HypothesisNotSatisfied, NotRegular, QuadTourError
 from quadtour.generators import (
     all_tournaments,
     augment,
@@ -17,6 +21,7 @@ from quadtour.generators import (
 from quadtour.orthogonality import is_quadrangular, quadrangularity
 from quadtour.symbols import family_symbol
 from quadtour.theorems import (
+    Facts,
     classify,
     verify_degree_lemmas,
     verify_indeg_one,
@@ -204,6 +209,13 @@ class TestRegular:
         with pytest.raises(NotRegular):
             verify_regular(transitive_triple())
 
+    def test_gamma_at_least_4_must_imply_quadrangular(self, monkeypatch):
+        # QR_7 has gamma 3; claiming gamma >= 4 for it contradicts the theorem.
+        rule = theorems.RULES["regular"]
+        monkeypatch.setitem(theorems.RULES, "regular", rule._replace(
+            conditions=lambda f, _: [("gamma>=4", True)]))
+        assert not verify_regular(QR7)
+
     def test_all_regular_on_five(self):
         count = 0
         for t in regular_tournaments(5):
@@ -250,3 +262,88 @@ class TestFamilyInstances:
             t = rotational(family_symbol(n))
             assert is_quadrangular(t)
             assert classify(t).verdict
+
+
+SHARED_VERIFIERS = {**cli._VERIFIERS, "regular": verify_regular}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except QuadTourError as exc:
+        return type(exc)
+
+
+def _sweep(capsys, *argv):
+    code = cli.main(["verify", *argv, "--json"])
+    return code, json.loads(capsys.readouterr().out)["result"]
+
+
+class TestSharedFacts:
+    def test_shared_facts_match_standalone(self):
+        for t in [t for n in range(1, 7) for t in all_tournaments(n)] + cli._named_instances():
+            facts = Facts(t)
+            assert classify(t, facts) == classify(t), t
+            for name, fn in SHARED_VERIFIERS.items():
+                assert _outcome(fn, t, facts) == _outcome(fn, t), (name, t)
+
+    def test_each_fact_computed_once_per_instance(self, monkeypatch, capsys):
+        calls = {name: collections.Counter() for name in ("special_vertices", "strong_decomposition")}
+        for name, counter in calls.items():
+            def counted(t, _fn=getattr(theorems, name), _counter=counter):
+                _counter[t] += 1
+                return _fn(t)
+            monkeypatch.setattr(theorems, name, counted)
+        code, result = _sweep(capsys, "exhaustive", "--n-max", "5")
+        assert (code, result["instances"]) == (0, 1 + 2 + 8 + 64 + 1024)
+        assert sum(calls["special_vertices"].values()) == result["instances"]
+        for counter in calls.values():
+            assert max(counter.values()) == 1
+
+    @pytest.mark.parametrize("name", ["out-degree-one", "in-degree-one"])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_flipped_rule_is_reported(self, monkeypatch, capsys, name, first):
+        _flip_rule(monkeypatch, name, first)
+        code, result = _sweep(capsys, "exhaustive", "--n-max", "4")
+        assert code == 1 and result["failure"]["verifier"] == name
+
+    def test_subjects_after_the_traced_one_are_checked(self, monkeypatch):
+        # classify traces the first low-degree vertex only; the verifier
+        # sharing its facts must still evaluate the others.  (No tournament
+        # with n <= 6 is classified in-degree-one with two such vertices.)
+        rule = theorems.RULES["out-degree-one"]
+        t = next(t for t in all_tournaments(5)
+                 if classify(t).rule == rule.name and len(rule.subjects(Facts(t))) > 1)
+        _flip_rule(monkeypatch, rule.name, first=False)
+        facts = Facts(t)
+        assert classify(t, facts) == classify(t)
+        assert not verify_outdeg_one(t, facts)
+
+
+def _flip_rule(monkeypatch, name, first):
+    """Negate the rule's verdict on every subject, or (first=False) on every
+    subject but the one classify uses."""
+    rule = theorems.RULES[name]
+
+    def flipped(f, subject):
+        verdict = all(v for _, v in rule.conditions(f, subject))
+        if first or subject != rule.subjects(f)[0]:
+            verdict = not verdict
+        return [("flipped", verdict)]
+
+    monkeypatch.setitem(theorems.RULES, name, rule._replace(conditions=flipped))
+
+
+def test_golden_sweep(capsys):
+    code, result = _sweep(capsys, "all", "--n-max", "6")
+    assert code == 0
+    assert result == {
+        "instances": 33916,
+        "classify_agreements": 33916,
+        "passes": {
+            "transmitter-receiver": 2115, "transmitter-only": 4396, "receiver-only": 4398,
+            "not-strong": 80, "out-degree-one": 24275, "in-degree-one": 24273,
+            "degree-lemmas": 4, "subtournament-degrees": 33916,
+        },
+        "failure": None,
+    }

@@ -14,6 +14,7 @@ instance.  Called without one, classify and each verifier build their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -46,35 +47,50 @@ class Rule(NamedTuple):
     combine: Callable = all  # the verdict from the condition values
 
 
-# The facts the rules read, by the Facts attribute that holds each one.
-_FACTS = {
-    "scores": lambda f: f.t.scores(),
-    "special": lambda f: special_vertices(f.t),
-    "decomposition": lambda f: strong_decomposition(f.t),
-    "low_out": lambda f: [v for v, s in enumerate(f.scores) if s == 1],
-    "low_in": lambda f: [v for v, s in enumerate(f.scores) if s == f.t.n - 2],
-    "regular": lambda f: f.t.is_regular(),
-    "out_quad": lambda f: is_out_quadrangular(f.t),
-    "in_quad": lambda f: is_in_quadrangular(f.t),
-    "quadrangular": lambda f: f.out_quad and f.in_quad,
-}
-
-
 class Facts:
-    """The facts of _FACTS about one tournament t, each computed on first
-    use, and the trace of each rule on each subject classify asked about.
-    Nothing is cached on the Tournament itself."""
+    """The facts the rules read about one tournament t, each computed on
+    first use, and the trace of each rule on each subject classify asked
+    about.  Nothing is cached on the Tournament itself."""
 
     def __init__(self, t: Tournament):
         self.t = t
         self._traces = {}  # (rule name, subject) -> ClassificationTrace
 
-    def __getattr__(self, name: str):
-        # Reached only while the fact is not yet in the instance __dict__.
-        if name not in _FACTS:
-            raise AttributeError(name)
-        value = self.__dict__[name] = _FACTS[name](self)
-        return value
+    @cached_property
+    def scores(self) -> tuple:
+        return self.t.scores()
+
+    @cached_property
+    def special(self):
+        return special_vertices(self.t)
+
+    @cached_property
+    def decomposition(self):
+        return strong_decomposition(self.t)
+
+    @cached_property
+    def low_out(self) -> list:
+        return [v for v, s in enumerate(self.scores) if s == 1]
+
+    @cached_property
+    def low_in(self) -> list:
+        return [v for v, s in enumerate(self.scores) if s == self.t.n - 2]
+
+    @cached_property
+    def regular(self) -> bool:
+        return self.t.is_regular()
+
+    @cached_property
+    def out_quad(self) -> bool:
+        return is_out_quadrangular(self.t)
+
+    @cached_property
+    def in_quad(self) -> bool:
+        return is_in_quadrangular(self.t)
+
+    @cached_property
+    def quadrangular(self) -> bool:
+        return self.out_quad and self.in_quad
 
     def trace(self, rule: Rule, subject) -> ClassificationTrace:
         """Every condition of the rule on subject, and the verdict they give."""
@@ -204,27 +220,37 @@ def classify(t: Tournament, facts: Optional[Facts] = None) -> ClassificationTrac
 # Each takes an optional Facts(t) shared with classify and the other verifiers.
 
 
-def _verifier(name: str) -> Callable[..., bool]:
-    """The verifier of rule `name`: its verdict on every subject equals the
-    direct oracle."""
-
-    def verify(t: Tournament, facts: Optional[Facts] = None) -> bool:
-        rule = RULES[name]
-        f = Facts(t) if facts is None else facts
-        subjects = rule.subjects(f)
-        if not subjects:
-            raise HypothesisNotSatisfied(rule.hypothesis)
-        return all(f.verdict(rule, s) == f.quadrangular for s in subjects)
-
-    return verify
+def _check(rule: Rule, t: Tournament, facts: Optional[Facts]) -> bool:
+    """The rule's verdict on every subject equals the direct oracle."""
+    f = Facts(t) if facts is None else facts
+    subjects = rule.subjects(f)
+    if not subjects:
+        raise HypothesisNotSatisfied(rule.hypothesis)
+    return all(f.verdict(rule, s) == f.quadrangular for s in subjects)
 
 
-verify_transmitter_receiver = _verifier("transmitter-receiver")
-verify_transmitter_only = _verifier("transmitter-only")
-verify_receiver_only = _verifier("receiver-only")
-verify_not_strong = _verifier("not-strong")
-verify_outdeg_one = _verifier("out-degree-one")
-verify_indeg_one = _verifier("in-degree-one")
+def verify_transmitter_receiver(t: Tournament, facts: Optional[Facts] = None) -> bool:
+    return _check(RULES["transmitter-receiver"], t, facts)
+
+
+def verify_transmitter_only(t: Tournament, facts: Optional[Facts] = None) -> bool:
+    return _check(RULES["transmitter-only"], t, facts)
+
+
+def verify_receiver_only(t: Tournament, facts: Optional[Facts] = None) -> bool:
+    return _check(RULES["receiver-only"], t, facts)
+
+
+def verify_not_strong(t: Tournament, facts: Optional[Facts] = None) -> bool:
+    return _check(RULES["not-strong"], t, facts)
+
+
+def verify_outdeg_one(t: Tournament, facts: Optional[Facts] = None) -> bool:
+    return _check(RULES["out-degree-one"], t, facts)
+
+
+def verify_indeg_one(t: Tournament, facts: Optional[Facts] = None) -> bool:
+    return _check(RULES["in-degree-one"], t, facts)
 
 
 def verify_degree_lemmas(t: Tournament, facts: Optional[Facts] = None) -> bool:
@@ -251,8 +277,8 @@ def verify_subtournament_degrees(t: Tournament, facts: Optional[Facts] = None) -
     """
     f = Facts(t) if facts is None else facts
     sides = (
-        (f.out_quad, t.out_mask, Tournament.out_degree, t.min_out_degree()),
-        (f.in_quad, t.in_mask, Tournament.in_degree, t.min_in_degree()),
+        (f.out_quad, t.out_mask, Tournament.out_degree, min(f.scores)),
+        (f.in_quad, t.in_mask, Tournament.in_degree, t.n - 1 - max(f.scores)),
     )
     for quad, mask, degree, min_degree in sides:
         if not quad:

@@ -141,6 +141,11 @@ class TestVerifiers:
         t = validate(6, rows)
         assert verify_not_strong(t)
 
+    def test_verifiers_keep_their_names(self):
+        # test_exhaustive_admissible_corpus counts applications per __name__.
+        for fn in cli._VERIFIERS.values():
+            assert getattr(theorems, fn.__name__) is fn
+
     def test_random_corpus_all_verifiers(self):
         verifiers = (
             verify_transmitter_receiver,

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from typing import List, Optional
 
 from . import core, domination, generators, matrixio, orthogonality, symbols, theorems
@@ -56,15 +57,14 @@ def _parse_symbol_arg(n: int, text: str) -> generators.Symbol:
 
 
 def _threads(args) -> int:
+    """--threads, else QL_THREADS, else 1; search rejects counts below 1."""
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("QL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+        return args.threads
+    env = os.environ.get("QL_THREADS") or "1"
+    try:
+        return int(env)
+    except ValueError:
+        raise QuadTourError(f"QL_THREADS must be a positive integer, got {env!r}") from None
 
 
 # --- gen ---------------------------------------------------------------
@@ -252,54 +252,64 @@ def _named_instances():
     return named
 
 
+def _first_disagreement(t, passes: dict) -> Optional[str]:
+    """Name of the first check that disagrees with the oracle on t, or None.
+
+    Each verifier that agrees is counted in passes.
+    """
+    facts = theorems.Facts(t)  # shared by classify and every verifier
+    if theorems.classify(t, facts).verdict != orthogonality.is_quadrangular(t):
+        return "classify"
+    for name, fn in _VERIFIERS.items():
+        try:
+            agreed = fn(t, facts)
+        except HypothesisNotSatisfied:
+            continue
+        if not agreed:
+            return name
+        passes[name] += 1
+    if facts.regular and not theorems.verify_regular(t, facts):
+        return "regular"
+    return None
+
+
 def _run_verifiers(instances):
+    """(instance count, passes, classify agreements, failure) for an iterator.
+
+    The instances after the first failure are counted, not checked; failure
+    is None or (check name, tournament).
+    """
     passes = {name: 0 for name in _VERIFIERS}
-    classify_checked = 0
+    checked = 0
     for t in instances:
-        facts = theorems.Facts(t)  # shared by classify and every verifier
-        if theorems.classify(t, facts).verdict != orthogonality.is_quadrangular(t):
-            return passes, classify_checked, ("classify", t)
-        classify_checked += 1
-        for name, fn in _VERIFIERS.items():
-            try:
-                agreed = fn(t, facts)
-            except HypothesisNotSatisfied:
-                continue
-            if not agreed:
-                return passes, classify_checked, (name, t)
-            passes[name] += 1
-        if facts.regular and not theorems.verify_regular(t, facts):
-            return passes, classify_checked, ("regular", t)
-    return passes, classify_checked, None
+        name = _first_disagreement(t, passes)
+        if name is not None:
+            count = checked + 1 + sum(1 for _ in instances)
+            return count, passes, checked + (name != "classify"), (name, t)
+        checked += 1
+    return checked, passes, checked, None
 
 
 def cmd_verify(args) -> int:
     inputs = {"suite": args.suite, "n_max": args.n_max}
-    instances = []
-    if args.suite in ("theorems", "all"):
-        instances.extend(_named_instances())
-    if args.suite in ("exhaustive", "all"):
-        if not 1 <= args.n_max <= 7:
-            raise SizeLimitExceeded(
-                f"exhaustive verification needs 1 <= n_max <= 7, got {args.n_max}")
-        for n in range(1, args.n_max + 1):
-            instances.extend(generators.all_tournaments(n))
-    passes, classify_checked, failure = _run_verifiers(instances)
+    exhaustive = args.suite in ("exhaustive", "all")
+    top = generators.ENUMERATION_MAX_N
+    if exhaustive and not 1 <= args.n_max <= top:
+        raise SizeLimitExceeded(f"exhaustive verification needs 1 <= n_max <= {top}, got {args.n_max}")
+    corpora = [_named_instances()] if args.suite in ("theorems", "all") else []
+    if exhaustive:
+        corpora += map(generators.all_tournaments, range(1, args.n_max + 1))
+    count, passes, agreements, failure = _run_verifiers(chain.from_iterable(corpora))
     result = {
-        "instances": len(instances),
-        "classify_agreements": classify_checked,
+        "instances": count,
+        "classify_agreements": agreements,
         "passes": passes,
-        "failure": None,
+        "failure": None if failure is None else {
+            "verifier": failure[0], "matrix": matrixio.to_json_adjacency(failure[1])},
     }
-    if failure is not None:
-        name, t = failure
-        result["failure"] = {
-            "verifier": name,
-            "matrix": matrixio.to_json_adjacency(t),
-        }
     _emit(args, _report("verify", inputs, result),
-          [f"instances: {len(instances)}"]
-          + [f"  {name}: {count} pass" for name, count in passes.items()]
+          [f"instances: {count}"]
+          + [f"  {name}: {n} pass" for name, n in passes.items()]
           + ([f"FAILURE in {failure[0]}"] if failure else ["all agree"]))
     return 0 if failure is None else 1
 

@@ -1,10 +1,13 @@
-"""Constructors for named, random and exhaustively enumerated tournaments."""
+"""Constructors for named, random and exhaustively enumerated tournaments.
+
+all_tournaments and regular_tournaments share one vertex-by-vertex enumerator.
+"""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .core import Tournament
 from .errors import (
@@ -140,76 +143,61 @@ def augment(t: Tournament, add_transmitter: bool, add_receiver: bool) -> Tournam
     return Tournament(m, rows)
 
 
-def pair_order(n: int) -> list:
-    """Pairs (u, v), u < v, in lexicographic order."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+def _tournaments(n: int, score: Optional[int] = None) -> Iterator[Tournament]:
+    """The labeled tournaments on n vertices, built one vertex at a time.
+
+    Vertex u = 0, 1, ... picks its out-set among the later vertices, trying
+    the choices in the order of its orientation bits with the pair (u, u+1)
+    most significant; the later vertices it does not beat get bit u.  Row u
+    is then complete, so with `score` set a choice is skipped unless row u
+    has that many ones.
+    """
+    if not 1 <= n <= ENUMERATION_MAX_N:
+        raise SizeLimitExceeded(f"exhaustive enumeration needs 1 <= n <= {ENUMERATION_MAX_N}, got {n}")
+    choices = []  # per vertex: (its out-set, the later vertices that beat it)
+    for u in range(n):
+        k = n - 1 - u
+        outs = [int(format(c, f"0{k}b")[::-1], 2) << (u + 1) for c in range(1 << k)]
+        choices.append([(out, tuple(v for v in range(u + 1, n) if not out >> v & 1))
+                        for out in outs])
+    rows = [0] * n
+
+    def place(u):
+        base, bit = rows[u], 1 << u
+        for out, beaten_by in choices[u]:
+            row = base | out
+            if score is not None and row.bit_count() != score:
+                continue
+            rows[u] = row
+            for v in beaten_by:
+                rows[v] |= bit
+            if u == n - 1:
+                yield Tournament(n, rows)
+            else:
+                yield from place(u + 1)
+            for v in beaten_by:
+                rows[v] ^= bit
+        rows[u] = base
+
+    yield from place(0)
 
 
 def all_tournaments(n: int) -> Iterator[Tournament]:
-    """All 2^(n(n-1)/2) labeled tournaments on n vertices.
+    """All 2^(n(n-1)/2) labeled tournaments on n vertices, 1 <= n <= 7.
 
     Enumerated in lexicographic order of the orientation bit-string over the
-    lexicographic pair order; bit 1 means u beats v.
+    lexicographic pair order; bit 1 means u beats v.  Sizes outside [1, 7]
+    raise SizeLimitExceeded on the first next().
     """
-    if n > ENUMERATION_MAX_N:
-        raise SizeLimitExceeded(f"exhaustive enumeration refused for n={n} > {ENUMERATION_MAX_N}")
-    if n < 1:
-        raise SizeLimitExceeded(f"need n >= 1, got {n}")
-    pairs = pair_order(n)
-    m = len(pairs)
-    for x in range(1 << m):
-        rows = [0] * n
-        for i, (u, v) in enumerate(pairs):
-            if (x >> (m - 1 - i)) & 1:
-                rows[u] |= 1 << v
-            else:
-                rows[v] |= 1 << u
-        yield Tournament(n, rows)
+    yield from _tournaments(n)
 
 
 def regular_tournaments(n: int) -> Iterator[Tournament]:
-    """Regular tournaments filtered from the labeled exhaustive enumeration.
+    """The regular tournaments among all_tournaments(n), in the same order.
 
-    Same order as all_tournaments(n).  Degree filtering is done on packed
-    3-bit degree counters built from chunk lookup tables, so non-regular
-    orientations are rejected without building rows.
+    Empty for even n.  Rows that miss the score (n - 1) / 2 are pruned as
+    they are built, so n = 7 visits few of the 2^21 orientations.
     """
     if n % 2 == 0:
         return
-    if n > ENUMERATION_MAX_N:
-        raise SizeLimitExceeded(f"exhaustive enumeration refused for n={n} > {ENUMERATION_MAX_N}")
-    pairs = pair_order(n)
-    m = len(pairs)
-    k = (n - 1) // 2
-    target = sum(k << (3 * u) for u in range(n))
-
-    chunk = 7
-    tables = []
-    for lo in range(0, m, chunk):
-        width = min(chunk, m - lo)
-        table = []
-        for value in range(1 << width):
-            packed = 0
-            for b in range(width):
-                p = lo + b  # bit position p of x maps to pair index m-1-p
-                u, v = pairs[m - 1 - p]
-                if (value >> b) & 1:
-                    packed += 1 << (3 * u)
-                else:
-                    packed += 1 << (3 * v)
-            table.append(packed)
-        tables.append((lo, (1 << width) - 1, tuple(table)))
-
-    for x in range(1 << m):
-        packed = 0
-        for lo, cmask, table in tables:
-            packed += table[(x >> lo) & cmask]
-        if packed != target:
-            continue
-        rows = [0] * n
-        for i, (u, v) in enumerate(pairs):
-            if (x >> (m - 1 - i)) & 1:
-                rows[u] |= 1 << v
-            else:
-                rows[v] |= 1 << u
-        yield Tournament(n, rows)
+    yield from _tournaments(n, (n - 1) // 2)

@@ -7,10 +7,11 @@ two members of S by at least two distinct unordered 2-subsets of S.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import EvenOrTooSmall, SizeLimitExceeded, TooSmall, WrongResidueClass
@@ -88,31 +89,29 @@ class SearchResult:
 def search(n: int, *, max_n: int = SEARCH_MAX_N, threads: int = 1) -> SearchResult:
     """Exhaustively filter all symbols on n through the criterion.
 
-    The choice space is split into contiguous index ranges per worker and the
-    hit lists are concatenated in range order, so the output is identical for
-    any thread count.
+    The choice space is split into contiguous index ranges, one per worker,
+    and the hit lists are concatenated in range order, so the output is
+    identical for any thread count.  At most os.cpu_count() workers start.
     """
     if n % 2 == 0 or n <= 3:
         raise EvenOrTooSmall(f"need odd n > 3, got {n}")
     if n > max_n:
         raise SizeLimitExceeded(f"search refused for n={n} > {max_n}")
+    if threads < 1:
+        raise TooSmall(f"need threads >= 1, got {threads}")
     k = (n - 1) // 2
     total = 1 << k
+    workers = min(threads, os.cpu_count() or 1)
     started = time.perf_counter()
-    if threads <= 1 or total < 1024:
+    if workers == 1 or total < 1024:
         hits = _scan_range(n, 0, total)
     else:
-        step = -(-total // threads)
-        ranges = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_scan_range_star, ranges))
+        starts = range(0, total, -(-total // workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_scan_range, repeat(n), starts, [*starts[1:], total]))
         hits = [h for part in parts for h in part]
     elapsed = time.perf_counter() - started
     return SearchResult(n, tuple(hits), total, elapsed)
-
-
-def _scan_range_star(args) -> list:
-    return _scan_range(*args)
 
 
 def family_symbol(n: int) -> Symbol:

@@ -17,6 +17,36 @@ def single_arc() -> Tournament:
     return validate(2, [0b10, 0b00])
 
 
+def brute_tournament(n: int, x: int) -> Tournament:
+    """Decode orientation bit-string x over the pairs (u, v), u < v.
+
+    The pairs are taken in lexicographic order, the first one most
+    significant; bit 1 means u beats v.
+    """
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rows = [0] * n
+    for i, (u, v) in enumerate(pairs):
+        if (x >> (len(pairs) - 1 - i)) & 1:
+            rows[u] |= 1 << v
+        else:
+            rows[v] |= 1 << u
+    return Tournament(n, rows)
+
+
+def brute_all_tournaments(n: int) -> list:
+    """Every tournament on n vertices, in increasing bit-string order."""
+    return [brute_tournament(n, x) for x in range(1 << (n * (n - 1) // 2))]
+
+
+def orientation_index(t: Tournament) -> int:
+    """The bit-string x with brute_tournament(t.n, x) == t."""
+    x = 0
+    for u in range(t.n):
+        for v in range(u + 1, t.n):
+            x = (x << 1) | t.has_arc(u, v)
+    return x
+
+
 def reachable_from(t: Tournament, start: int) -> int:
     """Bitmask of vertices reachable from start by a directed path."""
     seen = 1 << start

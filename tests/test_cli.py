@@ -155,6 +155,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("env, threads", [
+        (None, "0"), (None, "-4"), ("x", None), ("0", None), ("2.5", None),
+    ])
+    def test_bad_thread_count_is_two(self, capsys, monkeypatch, env, threads):
+        monkeypatch.delenv("QL_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("QL_THREADS", env)
+        argv = ["search", "--n", "11"] + (["--threads", threads] if threads else [])
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_threads_flag_overrides_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("QL_THREADS", "x")
+        assert run(capsys, ["search", "--n", "11", "--threads", "1"])[0] == 0
+
     @pytest.mark.parametrize("argv", [
         ["verify", "exhaustive", "--n-max", "3", "--threads", "2"],
         ["export", "t.txt", "--json"],

@@ -24,7 +24,8 @@ from quadtour.generators import (
     u_n,
 )
 
-from helpers import is_strongly_connected, three_cycle
+from helpers import (brute_all_tournaments, brute_tournament, is_strongly_connected,
+                     orientation_index, three_cycle)
 
 
 class TestSymbol:
@@ -164,6 +165,10 @@ class TestAllTournaments:
         with pytest.raises(SizeLimitExceeded):
             next(all_tournaments(8))
 
+    def test_order_matches_bit_string_reference(self):
+        for n in range(1, 6):
+            assert list(all_tournaments(n)) == brute_all_tournaments(n), n
+
 
 class TestRegularTournaments:
     def test_matches_brute_filter(self):
@@ -174,3 +179,19 @@ class TestRegularTournaments:
 
     def test_even_is_empty(self):
         assert list(regular_tournaments(4)) == []
+
+    def test_seven_in_reference_order(self):
+        found = list(regular_tournaments(7))
+        indices = [orientation_index(t) for t in found]
+        assert len(found) == 2640
+        assert all(a < b for a, b in zip(indices, indices[1:]))
+        for t, x in zip(found, indices):
+            assert t == brute_tournament(7, x) and t.scores() == (3,) * 7
+
+    @pytest.mark.parametrize("n", [-1, 9])
+    def test_size_limit(self, n):
+        with pytest.raises(SizeLimitExceeded):
+            next(regular_tournaments(n))
+
+    def test_single_vertex(self):
+        assert [t.rows for t in regular_tournaments(1)] == [(0,)]

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from quadtour import symbols
 from quadtour.errors import EvenOrTooSmall, SizeLimitExceeded, TooSmall, WrongResidueClass
 from quadtour.generators import Symbol, make_symbol, rotational
 from quadtour.orthogonality import is_quadrangular
@@ -112,6 +113,39 @@ class TestSearch:
         seq = search(13)
         par = search(13, threads=2)
         assert seq.hits == par.hits and seq.examined == par.examined
+
+    @pytest.mark.parametrize("cpus", [4, None])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus):
+        started, ranges = [], []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                ranges.extend(zip(*iterables))
+                return [fn(*args) for args in ranges]
+
+        serial = search(23).hits
+        monkeypatch.setattr(symbols, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(symbols.os, "cpu_count", lambda: cpus)
+        assert search(23, threads=10**6).hits == serial
+        if cpus:
+            assert started == [4]
+            assert ranges == [(23, 0, 512), (23, 512, 1024), (23, 1024, 1536), (23, 1536, 2048)]
+        else:  # no CPU count: one in-process worker
+            assert started == ranges == []
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(TooSmall):
+            search(13, threads=threads)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceeded):

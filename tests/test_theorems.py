@@ -18,6 +18,7 @@ from quadtour.generators import (
     rotational,
     u_n,
 )
+from quadtour.matrixio import to_json_adjacency
 from quadtour.orthogonality import is_quadrangular, quadrangularity
 from quadtour.symbols import family_symbol
 from quadtour.theorems import (
@@ -35,7 +36,7 @@ from quadtour.theorems import (
     verify_transmitter_receiver,
 )
 
-from helpers import single_arc, three_cycle, transitive_triple
+from helpers import brute_all_tournaments, single_arc, three_cycle, transitive_triple
 
 QR7 = quadratic_residue(7)
 ROT11 = rotational(make_symbol(11, {1, 3, 4, 5, 9}))
@@ -311,6 +312,14 @@ class TestSharedFacts:
         _flip_rule(monkeypatch, name, first)
         code, result = _sweep(capsys, "exhaustive", "--n-max", "4")
         assert code == 1 and result["failure"]["verifier"] == name
+        # the stream is drained after the failure, so the whole corpus is counted
+        assert result["instances"] == 1 + 2 + 8 + 64
+        verifier = SHARED_VERIFIERS[name]
+        corpus = [t for n in range(1, 5) for t in brute_all_tournaments(n)]
+        first_failing = next(i for i, t in enumerate(corpus) if _outcome(verifier, t) is False)
+        assert result["failure"]["matrix"] == to_json_adjacency(corpus[first_failing])
+        # classify agreed on every instance up to and including the failing one
+        assert result["classify_agreements"] == first_failing + 1 < result["instances"]
 
     def test_subjects_after_the_traced_one_are_checked(self, monkeypatch):
         # classify traces the first low-degree vertex only; the verifier

@@ -15,8 +15,8 @@ from itertools import chain
 from typing import List, Optional
 
 from . import core, domination, generators, matrixio, orthogonality, symbols, theorems
-from .errors import (HypothesisNotSatisfied, InvalidSymbol, MatrixParseError,
-                     QuadTourError, SizeLimitExceeded)
+from .errors import (HypothesisNotSatisfied, InvalidSymbol, QuadTourError,
+                     SizeLimitExceeded)
 
 SCHEMA_VERSION = "1"
 
@@ -109,8 +109,6 @@ def cmd_check(args) -> int:
     inputs = {"input": args.input, "what": args.what}
     if args.what == "orth":
         p = _read_pattern(args.input)
-        if p.rows != p.cols:
-            raise MatrixParseError("pattern is not square")
         verdict = orthogonality.comb_orthogonal(p)
         row_witness = col_witness = None
         if not verdict:  # a True verdict means neither side has a witness
@@ -225,18 +223,6 @@ def cmd_search(args) -> int:
 
 # --- verify ------------------------------------------------------------
 
-_VERIFIERS = {
-    "transmitter-receiver": theorems.verify_transmitter_receiver,
-    "transmitter-only": theorems.verify_transmitter_only,
-    "receiver-only": theorems.verify_receiver_only,
-    "not-strong": theorems.verify_not_strong,
-    "out-degree-one": theorems.verify_outdeg_one,
-    "in-degree-one": theorems.verify_indeg_one,
-    "degree-lemmas": theorems.verify_degree_lemmas,
-    "subtournament-degrees": theorems.verify_subtournament_degrees,
-}
-
-
 def _named_instances():
     qr7 = generators.quadratic_residue(7)
     rot11 = generators.rotational(symbols.family_symbol(11))
@@ -260,7 +246,7 @@ def _first_disagreement(t, passes: dict) -> Optional[str]:
     facts = theorems.Facts(t)  # shared by classify and every verifier
     if theorems.classify(t, facts).verdict != orthogonality.is_quadrangular(t):
         return "classify"
-    for name, fn in _VERIFIERS.items():
+    for name, fn in theorems.VERIFIERS.items():
         try:
             agreed = fn(t, facts)
         except HypothesisNotSatisfied:
@@ -279,7 +265,7 @@ def _run_verifiers(instances):
     The instances after the first failure are counted, not checked; failure
     is None or (check name, tournament).
     """
-    passes = {name: 0 for name in _VERIFIERS}
+    passes = {name: 0 for name in theorems.VERIFIERS}
     checked = 0
     for t in instances:
         name = _first_disagreement(t, passes)

@@ -60,10 +60,10 @@ def dominant_pairs(t: Tournament) -> tuple:
     )
 
 
-def domination_number(t: Tournament, *, max_n: int = GAMMA_MAX_N) -> DominationInfo:
+def domination_number(t: Tournament) -> DominationInfo:
     """Exact domination number by iterative deepening over subset sizes."""
-    if t.n > max_n:
-        raise SizeLimitExceeded(f"domination number refused for n={t.n} > {max_n}")
+    if t.n > GAMMA_MAX_N:
+        raise SizeLimitExceeded(f"domination number refused for n={t.n} > {GAMMA_MAX_N}")
     full = t.full_mask
     pairs = dominant_pairs(t) if t.n >= 2 else ()
     for size in range(1, t.n + 1):

@@ -195,9 +195,9 @@ def all_tournaments(n: int) -> Iterator[Tournament]:
 def regular_tournaments(n: int) -> Iterator[Tournament]:
     """The regular tournaments among all_tournaments(n), in the same order.
 
-    Empty for even n.  Rows that miss the score (n - 1) / 2 are pruned as
-    they are built, so n = 7 visits few of the 2^21 orientations.
+    Rows that miss the score (n - 1) // 2 are pruned as they are built, so
+    n = 7 visits few of the 2^21 orientations.  Even n yields nothing, since
+    n equal scores summing to n(n - 1)/2 are each (n - 1)/2.  Sizes outside
+    [1, 7] raise SizeLimitExceeded on the first next().
     """
-    if n % 2 == 0:
-        return
     yield from _tournaments(n, (n - 1) // 2)

@@ -86,7 +86,7 @@ class SearchResult:
     elapsed: float
 
 
-def search(n: int, *, max_n: int = SEARCH_MAX_N, threads: int = 1) -> SearchResult:
+def search(n: int, *, threads: int = 1) -> SearchResult:
     """Exhaustively filter all symbols on n through the criterion.
 
     The choice space is split into contiguous index ranges, one per worker,
@@ -95,8 +95,8 @@ def search(n: int, *, max_n: int = SEARCH_MAX_N, threads: int = 1) -> SearchResu
     """
     if n % 2 == 0 or n <= 3:
         raise EvenOrTooSmall(f"need odd n > 3, got {n}")
-    if n > max_n:
-        raise SizeLimitExceeded(f"search refused for n={n} > {max_n}")
+    if n > SEARCH_MAX_N:
+        raise SizeLimitExceeded(f"search refused for n={n} > {SEARCH_MAX_N}")
     if threads < 1:
         raise TooSmall(f"need threads >= 1, got {threads}")
     k = (n - 1) // 2

@@ -5,10 +5,12 @@ speaks about (none when the hypothesis fails) and the named conditions that
 decide quadrangularity for a subject.  classify() reports every condition of
 the first rule that has a subject; a rule's verify_* compares its verdict on
 each subject with the direct out/in oracle, and a disagreement means a library
-bug (or a falsified statement).  `Facts(t)` computes each fact the rules read
-on first request and then reuses it.  It serves one tournament: build it per
-instance, pass it to classify and every verifier, and drop it with the
-instance.  Called without one, classify and each verifier build their own.
+bug (or a falsified statement).  VERIFIERS names the checks a sweep runs, in
+the order it reports them.  `Facts(t)` holds what the rules read about one
+tournament: the O(n) facts are computed when it is built, the costlier ones on
+first use.  Build it per instance, pass it to classify and every verifier, and
+drop it with the instance.  Called without one, classify and each verifier
+build their own.
 """
 
 from __future__ import annotations
@@ -48,37 +50,24 @@ class Rule(NamedTuple):
 
 
 class Facts:
-    """The facts the rules read about one tournament t, each computed on
-    first use, and the trace of each rule on each subject classify asked
-    about.  Nothing is cached on the Tournament itself."""
+    """The facts the rules read about one tournament t, and the trace of each
+    rule on each subject classify asked about.  The degree facts are plain
+    attributes; the decomposition and the oracle verdicts, which cost O(n^2)
+    or more, are computed on first use.  Nothing is cached on the Tournament
+    itself."""
 
     def __init__(self, t: Tournament):
         self.t = t
+        self.scores = scores = t.scores()
+        self.special = special_vertices(t)
+        self.low_out = [v for v, s in enumerate(scores) if s == 1]
+        self.low_in = [v for v, s in enumerate(scores) if s == t.n - 2]
+        self.regular = len(set(scores)) == 1
         self._traces = {}  # (rule name, subject) -> ClassificationTrace
-
-    @cached_property
-    def scores(self) -> tuple:
-        return self.t.scores()
-
-    @cached_property
-    def special(self):
-        return special_vertices(self.t)
 
     @cached_property
     def decomposition(self):
         return strong_decomposition(self.t)
-
-    @cached_property
-    def low_out(self) -> list:
-        return [v for v, s in enumerate(self.scores) if s == 1]
-
-    @cached_property
-    def low_in(self) -> list:
-        return [v for v, s in enumerate(self.scores) if s == self.t.n - 2]
-
-    @cached_property
-    def regular(self) -> bool:
-        return self.t.is_regular()
 
     @cached_property
     def out_quad(self) -> bool:
@@ -301,6 +290,21 @@ def verify_regular(t: Tournament, facts: Optional[Facts] = None) -> bool:
         raise NotRegular("tournament is not regular")
     # The regular rule's verdict is "gamma >= 4 or out-quadrangular".
     return f.out_quad == f.in_quad == f.verdict(RULES["regular"], None)
+
+
+# The checks a sweep runs on every instance, keyed and ordered as the `passes`
+# of `verify --json` report them.  verify_regular is not among them: the
+# sweep runs it on regular instances only and reports no passes for it.
+VERIFIERS = {
+    "transmitter-receiver": verify_transmitter_receiver,
+    "transmitter-only": verify_transmitter_only,
+    "receiver-only": verify_receiver_only,
+    "not-strong": verify_not_strong,
+    "out-degree-one": verify_outdeg_one,
+    "in-degree-one": verify_indeg_one,
+    "degree-lemmas": verify_degree_lemmas,
+    "subtournament-degrees": verify_subtournament_degrees,
+}
 
 
 def verify_rotational_dichotomy(t: Tournament, sym: Symbol) -> bool:

@@ -188,7 +188,7 @@ class TestRegularTournaments:
         for t, x in zip(found, indices):
             assert t == brute_tournament(7, x) and t.scores() == (3,) * 7
 
-    @pytest.mark.parametrize("n", [-1, 9])
+    @pytest.mark.parametrize("n", [-1, 9, 10, 0, -2])
     def test_size_limit(self, n):
         with pytest.raises(SizeLimitExceeded):
             next(regular_tournaments(n))

@@ -144,7 +144,7 @@ class TestVerifiers:
 
     def test_verifiers_keep_their_names(self):
         # test_exhaustive_admissible_corpus counts applications per __name__.
-        for fn in cli._VERIFIERS.values():
+        for fn in theorems.VERIFIERS.values():
             assert getattr(theorems, fn.__name__) is fn
 
     def test_random_corpus_all_verifiers(self):
@@ -270,7 +270,7 @@ class TestFamilyInstances:
             assert classify(t).verdict
 
 
-SHARED_VERIFIERS = {**cli._VERIFIERS, "regular": verify_regular}
+SHARED_VERIFIERS = {**theorems.VERIFIERS, "regular": verify_regular}
 
 
 def _outcome(fn, *args):
@@ -320,6 +320,19 @@ class TestSharedFacts:
         assert result["failure"]["matrix"] == to_json_adjacency(corpus[first_failing])
         # classify agreed on every instance up to and including the failing one
         assert result["classify_agreements"] == first_failing + 1 < result["instances"]
+
+    def test_classify_leaves_costly_facts_unbuilt(self, monkeypatch):
+        # classify on n ~ 1000 stays fast only while a rule that applies
+        # early never builds the decomposition or the oracle verdicts.
+        calls = collections.Counter()
+        for name in ("is_out_quadrangular", "is_in_quadrangular", "strong_decomposition"):
+            def counted(t, _fn=getattr(theorems, name), _name=name):
+                calls[_name] += 1
+                return _fn(t)
+            monkeypatch.setattr(theorems, name, counted)
+        t = augment(quadratic_residue(23), True, True)
+        assert classify(t, Facts(t)).rule == "transmitter-receiver"
+        assert not calls
 
     def test_subjects_after_the_traced_one_are_checked(self, monkeypatch):
         # classify traces the first low-degree vertex only; the verifier

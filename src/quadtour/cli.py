@@ -194,30 +194,20 @@ def cmd_search(args) -> int:
         return 0 if verified else 1
 
     if args.mode == "first":
-        first = None
-        examined = 0
-        for sym in symbols.enumerate_symbols(args.n):
-            examined += 1
-            ok, _ = symbols.symbol_criterion(sym)
-            if ok:
-                first = sym.sorted_members()
-                break
+        first, examined = symbols.first_hit(args.n)
         result = {"first": list(first) if first else None, "examined": examined}
         _emit(args, _report("search", inputs, result),
               [f"first hit: {list(first) if first else 'none'}"])
         return 0 if first else 1
 
     res = symbols.search(args.n, threads=_threads(args))
-    result = {
-        "hits": [list(h) for h in res.hits],
-        "hit_count": len(res.hits),
-        "examined": res.examined,
-    }
+    # tuples serialize as JSON arrays; the hit lines render only in text mode
+    result = {"hits": res.hits, "hit_count": len(res.hits), "examined": res.examined}
     report = _report("search", inputs, result)
     report["elapsed_ms"] = round(res.elapsed * 1000.0, 3)
     _emit(args, report,
-          [f"examined {res.examined} symbols, {len(res.hits)} hits"]
-          + [f"  {list(h)}" for h in res.hits])
+          chain([f"examined {res.examined} symbols, {len(res.hits)} hits"],
+                (f"  {list(h)}" for h in res.hits)))
     return 0
 
 

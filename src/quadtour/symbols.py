@@ -3,16 +3,20 @@
 A rotational tournament on n > 3 vertices with symbol S is quadrangular
 exactly when every residue m in 1..(n-1)/2 is realized as a difference of
 two members of S by at least two distinct unordered 2-subsets of S.
+
+That number of 2-subsets is |S & (S + m)|: for odd n, m and -m differ, so
+each 2-subset {i, j} with i - j = +-m has exactly one member x with
+x + m in S.  With S as an n-bit mask, S + m is the mask rotated left by m,
+so each residue costs one shift, one AND and one popcount.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, repeat
-from typing import Iterator, List, Optional, Tuple
+from itertools import repeat
+from typing import Iterator, Optional, Tuple
 
 from .errors import EvenOrTooSmall, SizeLimitExceeded, TooSmall, WrongResidueClass
 from .generators import Symbol, make_symbol
@@ -25,20 +29,19 @@ def symbol_criterion(sym: Symbol) -> Tuple[bool, Optional[int]]:
 
     For each m in 1..(n-1)/2 counts the distinct unordered 2-subsets
     {i, j} of S with i - j = +-m (mod n); the criterion needs at least two
-    subsets for every m.
+    subsets for every m.  The count is |S & (S + m)|, the members x of S
+    with x + m in S, since n is odd and each such subset has exactly one.
     """
     n = sym.n
     if n <= 3:
         raise TooSmall(f"criterion needs n > 3, got {n}")
-    half = (n - 1) // 2
-    counts = [0] * (half + 1)
-    for i, j in combinations(sym.sorted_members(), 2):
-        d = (i - j) % n
-        if d > half:
-            d = n - d
-        counts[d] += 1
-    for m in range(1, half + 1):
-        if counts[m] < 2:
+    mask = 0
+    for i in sym.members:
+        mask |= 1 << (i % n)
+    doubled = mask | mask << n
+    for m in range(1, (n - 1) // 2 + 1):
+        # doubled >> (n - m) is S + m, plus bits above n - 1 that mask drops
+        if (mask & (doubled >> (n - m))).bit_count() < 2:
             return False, m
     return True, None
 
@@ -58,24 +61,30 @@ def enumerate_symbols(n: int) -> Iterator[Symbol]:
 
 def _symbol_at(n: int, idx: int) -> Symbol:
     k = (n - 1) // 2
-    members = []
-    for pair in range(k):
-        i = pair + 1
-        if (idx >> (k - 1 - pair)) & 1:
-            members.append(n - i)
-        else:
-            members.append(i)
-    return Symbol(n, frozenset(members))
+    return Symbol(n, frozenset([n - i if (idx >> (k - i)) & 1 else i for i in range(1, k + 1)]))
+
+
+def _hits(n: int, start: int, stop: int) -> Iterator[Tuple[int, tuple]]:
+    """(idx, sorted members) of each symbol in [start, stop) meeting the criterion."""
+    for idx in range(start, stop):
+        sym = _symbol_at(n, idx)
+        if symbol_criterion(sym)[0]:
+            yield idx, sym.sorted_members()
 
 
 def _scan_range(n: int, start: int, stop: int) -> list:
-    hits = []
-    for idx in range(start, stop):
-        sym = _symbol_at(n, idx)
-        ok, _ = symbol_criterion(sym)
-        if ok:
-            hits.append(sym.sorted_members())
-    return hits
+    return [members for _, members in _hits(n, start, stop)]
+
+
+def first_hit(n: int) -> Tuple[Optional[tuple], int]:
+    """The first symbol in enumeration order meeting the criterion, as sorted
+    members or None, and the number of symbols examined to find it."""
+    if n % 2 == 0 or n < 3:
+        raise EvenOrTooSmall(f"need odd n >= 3, got {n}")
+    total = 1 << ((n - 1) // 2)
+    for idx, members in _hits(n, 0, total):
+        return members, idx + 1
+    return None, total
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,9 @@ def search(n: int, *, threads: int = 1) -> SearchResult:
     if workers == 1 or total < 1024:
         hits = _scan_range(n, 0, total)
     else:
+        # imported here: every CLI start imports this module, few start a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         starts = range(0, total, -(-total // workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_scan_range, repeat(n), starts, [*starts[1:], total]))

@@ -1,6 +1,9 @@
 """Shared constructions and brute-force oracles for the test suite."""
 
+from itertools import combinations
+
 from quadtour.core import Tournament, iter_bits, validate
+from quadtour.generators import Symbol
 
 
 def three_cycle() -> Tournament:
@@ -108,8 +111,6 @@ def brute_failing_pairs(t: Tournament, side: str) -> list:
 
 def brute_gamma(t: Tournament) -> int:
     """Domination number by explicit subset enumeration over vertex sets."""
-    from itertools import combinations
-
     everyone = set(range(t.n))
     for size in range(1, t.n + 1):
         for combo in combinations(range(t.n), size):
@@ -136,8 +137,6 @@ def brute_witness(t: Tournament, side: str):
 
 def brute_gamma_exceeds(t: Tournament, k: int) -> bool:
     """No set of at most k vertices dominates, by explicit subset search."""
-    from itertools import combinations
-
     everyone = set(range(t.n))
     closed = [set(iter_bits(t.rows[v])) | {v} for v in range(t.n)]
     return not any(
@@ -194,3 +193,33 @@ def brute_induced(t: Tournament, keep) -> Tournament:
                 row |= 1 << i
         rows.append(row)
     return Tournament(len(kept), rows)
+
+
+def brute_symbol_criterion(sym: Symbol) -> tuple:
+    """(verdict, smallest failing m) by counting the 2-subsets of S per
+    difference class +-m, for m in 1..(n-1)/2."""
+    n = sym.n
+    half = (n - 1) // 2
+    counts = [0] * (half + 1)
+    for i, j in combinations(sym.sorted_members(), 2):
+        d = (i - j) % n
+        if d > half:
+            d = n - d
+        counts[d] += 1
+    for m in range(1, half + 1):
+        if counts[m] < 2:
+            return False, m
+    return True, None
+
+
+def brute_symbol_at(n: int, idx: int) -> Symbol:
+    """Symbol number idx: bit k-1-p of idx picks n-(p+1) over p+1 for pair p."""
+    k = (n - 1) // 2
+    members = []
+    for pair in range(k):
+        i = pair + 1
+        if (idx >> (k - 1 - pair)) & 1:
+            members.append(n - i)
+        else:
+            members.append(i)
+    return Symbol(n, frozenset(members))

@@ -1,6 +1,8 @@
 """CLI golden tests: file round-trips, exit-code contract, stable JSON."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -133,7 +135,18 @@ class TestExitCodes:
     def test_search_first_found(self, capsys):
         code, out, _ = run(capsys, ["search", "--n", "11", "--first", "--json"])
         assert code == 0
-        assert json.loads(out)["result"]["first"] == [1, 3, 4, 5, 9]
+        assert json.loads(out)["result"] == {"first": [1, 3, 4, 5, 9], "examined": 9}
+
+    def test_search_first_needs_n_above_three(self, capsys):
+        code, out, err = run(capsys, ["search", "--n", "3", "--first"])
+        assert (code, out, err) == (2, "", "error: criterion needs n > 3, got 3\n")
+
+    def test_search_first_has_no_size_cap(self, capsys):
+        # --all refuses n > 31; --first stops at its first hit
+        code, out, _ = run(capsys, ["search", "--n", "33", "--first", "--json"])
+        assert code == 0
+        assert json.loads(out)["result"] == {
+            "first": [*range(1, 15), 16, 18], "examined": 3}
 
     def test_verify_oversized_is_two(self, capsys):
         code, _, _ = run(capsys, ["verify", "exhaustive", "--n-max", "9"])
@@ -183,6 +196,18 @@ class TestExitCodes:
 
 
 class TestJsonReports:
+    def test_search_all_golden(self, capsys):
+        # stdout of `search --n 23 --all`, text and JSON (less elapsed_ms)
+        code, out, _ = run(capsys, ["search", "--n", "23", "--all"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ac6ecb9321221a33aa6147362780640f57e7e69e761f470142938843c7da2057")
+        code, out, _ = run(capsys, ["search", "--n", "23", "--all", "--json"])
+        out = re.sub(r', "elapsed_ms": [0-9.]+', "", out)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b26e93ca7909cbeecfe699b80b15a5eaf8dab0301c9878a01c1a1d34909940c1")
+
     def test_byte_stable(self, u5_file, capsys):
         _, first, _ = run(capsys, ["check", str(u5_file), "--json"])
         _, second, _ = run(capsys, ["check", str(u5_file), "--json"])

@@ -1,6 +1,8 @@
 """Tests for symbol enumeration, the difference-pair criterion and search."""
 
-from itertools import combinations
+import hashlib
+import json
+import random
 
 import pytest
 
@@ -11,9 +13,15 @@ from quadtour.orthogonality import is_quadrangular
 from quadtour.symbols import (
     enumerate_symbols,
     family_symbol,
+    first_hit,
     search,
     symbol_criterion,
 )
+
+from helpers import brute_symbol_at, brute_symbol_criterion
+
+# search(23): hit count and sha256 of the JSON hit list
+GOLDEN_23 = (1850, "f342bfa64db811a98aef507882f736e05488309a0a3a980f41ca2e3a33769470")
 
 
 def criterion_by_subsets(sym: Symbol) -> bool:
@@ -55,6 +63,26 @@ class TestSymbolCriterion:
             for sym in enumerate_symbols(n):
                 assert symbol_criterion(sym)[0] == criterion_by_subsets(sym)
 
+    def test_mask_kernel_matches_pair_count_exhaustively(self):
+        for n in range(5, 18, 2):
+            for sym in enumerate_symbols(n):
+                assert symbol_criterion(sym) == brute_symbol_criterion(sym)
+
+    def test_mask_kernel_matches_pair_count_beyond_search_cap(self):
+        # a per-symbol bias toward the low member of each pair reaches
+        # symbols near {1..(n-1)/2} that fail at various m, not only hits
+        rng = random.Random(20040404)
+        verdicts = set()
+        for n in range(19, 62, 2):
+            for _ in range(40):
+                p = rng.random()
+                members = [i if rng.random() < p else n - i for i in range(1, (n + 1) // 2)]
+                sym = make_symbol(n, members)
+                got = symbol_criterion(sym)
+                assert got == brute_symbol_criterion(sym)
+                verdicts.add(got[0])
+        assert verdicts == {True, False}
+
     def test_iff_direct_oracle(self):
         for n in (5, 7, 9, 11, 13, 15):
             for sym in enumerate_symbols(n):
@@ -86,6 +114,35 @@ class TestEnumerateSymbols:
         with pytest.raises(EvenOrTooSmall):
             list(enumerate_symbols(6))
 
+    def test_matches_pair_by_pair_builder(self):
+        for n in range(3, 16, 2):
+            for idx in range(1 << ((n - 1) // 2)):
+                assert symbols._symbol_at(n, idx) == brute_symbol_at(n, idx)
+
+
+def serial_pool(monkeypatch, cpus):
+    """Run search's process pool in process on a pretend CPU count; returns
+    the lists of pool sizes started and of (n, start, stop) ranges mapped."""
+    started, ranges = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            ranges.extend(zip(*iterables))
+            return [fn(*args) for args in ranges]
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(symbols.os, "cpu_count", lambda: cpus)
+    return started, ranges
+
 
 class TestSearch:
     def test_no_hits_below_eleven(self):
@@ -116,31 +173,23 @@ class TestSearch:
 
     @pytest.mark.parametrize("cpus", [4, None])
     def test_workers_capped_at_cpu_count(self, monkeypatch, cpus):
-        started, ranges = [], []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                ranges.extend(zip(*iterables))
-                return [fn(*args) for args in ranges]
-
         serial = search(23).hits
-        monkeypatch.setattr(symbols, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(symbols.os, "cpu_count", lambda: cpus)
+        started, ranges = serial_pool(monkeypatch, cpus)
         assert search(23, threads=10**6).hits == serial
         if cpus:
             assert started == [4]
             assert ranges == [(23, 0, 512), (23, 512, 1024), (23, 1024, 1536), (23, 1536, 2048)]
         else:  # no CPU count: one in-process worker
             assert started == ranges == []
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_golden_hits_23(self, monkeypatch, cpus):
+        # cpus=1 scans in process; cpus=4 splits into four ranges
+        started, _ = serial_pool(monkeypatch, cpus)
+        hits = search(23, threads=4).hits
+        digest = hashlib.sha256(json.dumps([list(h) for h in hits]).encode()).hexdigest()
+        assert (len(hits), digest) == GOLDEN_23
+        assert started == ([4] if cpus == 4 else [])
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_threads_below_one_rejected(self, threads):
@@ -154,6 +203,17 @@ class TestSearch:
     def test_even_rejected(self):
         with pytest.raises(EvenOrTooSmall):
             search(10)
+
+
+class TestFirstHit:
+    def test_found_and_not_found(self):
+        assert first_hit(9) == (None, 16)
+        assert first_hit(11) == ((1, 3, 4, 5, 9), 9)
+
+    @pytest.mark.parametrize("n", [10, 1, -3])
+    def test_even_or_too_small_rejected(self, n):
+        with pytest.raises(EvenOrTooSmall):
+            first_hit(n)
 
 
 class TestFamilySymbol:

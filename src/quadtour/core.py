@@ -45,6 +45,19 @@ def columns(n: int, rows: Sequence[int]) -> list:
     return [int("".join(col)[::-1], 2) for col in zip(*bit_strings(n, rows))]
 
 
+def disjoint_pairs(rows: Sequence[int]) -> Iterator[tuple]:
+    """Yield each pair u < v whose rows share no bit, in lexicographic order.
+
+    On a tournament's in-rows these are its dominant pairs (no vertex beats
+    both); on its out-rows, the pairs with no common out-neighbour.
+    """
+    n = len(rows)
+    for u, ru in enumerate(rows):
+        for v in range(u + 1, n):
+            if not ru & rows[v]:
+                yield u, v
+
+
 class Tournament:
     """Complete oriented digraph on vertices 0..n-1.
 
@@ -72,12 +85,6 @@ class Tournament:
         # I(v) = V - O(v) - {v}: exactly one arc per pair.
         return self.full_mask & ~self.rows[v] & ~(1 << v)
 
-    def closed_out_mask(self, v: int) -> int:
-        return self.rows[v] | (1 << v)
-
-    def closed_in_mask(self, v: int) -> int:
-        return self.in_mask(v) | (1 << v)
-
     def out_degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
@@ -92,10 +99,6 @@ class Tournament:
 
     def scores(self) -> tuple:
         return tuple(r.bit_count() for r in self.rows)
-
-    def is_regular(self) -> bool:
-        k = self.rows[0].bit_count()
-        return all(r.bit_count() == k for r in self.rows)
 
     def arcs(self):
         """All arcs (u, v) in lexicographic order."""
@@ -154,7 +157,8 @@ def neighborhoods(t: Tournament, v: int) -> Neighborhoods:
 
 def dual(t: Tournament) -> Tournament:
     """The reversal: u beats v in the result iff v beats u in t."""
-    return Tournament(t.n, [t.in_mask(v) for v in range(t.n)])
+    full = t.full_mask  # row v is t.in_mask(v), inlined: the scans build it per call
+    return Tournament(t.n, [full & ~(row | 1 << v) for v, row in enumerate(t.rows)])
 
 
 def induced(t: Tournament, keep) -> Tournament:

@@ -1,12 +1,18 @@
-"""Dominating sets, domination number, domination and competition graphs."""
+"""Dominating sets, domination number, domination and competition graphs.
+
+A vertex outside S escapes S exactly when it beats every member, and no
+vertex is in its own in-set, so S dominates iff its members' in-sets have
+an empty intersection.  The domination tests read the in-rows, the out-rows
+of the dual, through this criterion; for pairs it is core.disjoint_pairs.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable
 
-from .core import Tournament
+from .core import Tournament, disjoint_pairs, dual
 from .errors import SizeLimitExceeded, UnsupportedK
 
 GAMMA_MAX_N = 24
@@ -33,11 +39,12 @@ class DominationInfo:
     pairs: tuple  # all dominant pairs, lexicographic
 
 
-def _closed_union(t: Tournament, vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= t.closed_out_mask(v)
-    return mask
+def _undominated(ins, members: Iterable[int], full: int) -> int:
+    """The vertices no member beats: the intersection of the members' in-sets."""
+    common = full
+    for v in members:
+        common &= ins[v]
+    return common
 
 
 def dominates(t: Tournament, s: Iterable[int]) -> bool:
@@ -45,30 +52,23 @@ def dominates(t: Tournament, s: Iterable[int]) -> bool:
     members = list(s)
     for v in members:
         t.check_vertex(v)
-    return _closed_union(t, members) == t.full_mask
+    return not _undominated(dual(t).rows, members, t.full_mask)
 
 
 def dominant_pairs(t: Tournament) -> tuple:
     """All pairs {x, y} dominating the tournament, in lexicographic order."""
-    full = t.full_mask
-    closed = [t.closed_out_mask(v) for v in range(t.n)]
-    return tuple(
-        (u, v)
-        for u, cu in enumerate(closed)
-        for v, cv in enumerate(closed[u + 1:], u + 1)
-        if cu | cv == full
-    )
+    return tuple(disjoint_pairs(dual(t).rows))
 
 
 def domination_number(t: Tournament) -> DominationInfo:
     """Exact domination number by iterative deepening over subset sizes."""
     if t.n > GAMMA_MAX_N:
         raise SizeLimitExceeded(f"domination number refused for n={t.n} > {GAMMA_MAX_N}")
-    full = t.full_mask
-    pairs = dominant_pairs(t) if t.n >= 2 else ()
+    full, ins = t.full_mask, dual(t).rows
+    pairs = dominant_pairs(t)
     for size in range(1, t.n + 1):
         for combo in combinations(range(t.n), size):
-            if _closed_union(t, combo) == full:
+            if not _undominated(ins, combo, full):
                 return DominationInfo(size, combo, pairs)
     raise AssertionError("the full vertex set always dominates")
 
@@ -77,24 +77,22 @@ def gamma_exceeds(t: Tournament, k: int) -> bool:
     """True iff no dominating set of size <= k exists, for k in {1, 2, 3}."""
     if k not in (1, 2, 3):
         raise UnsupportedK(f"k must be 1, 2 or 3, got {k}")
-    full = t.full_mask
-    closed = [t.closed_out_mask(v) for v in range(t.n)]
-    if full in closed:
+    ins = dual(t).rows
+    if 0 in ins:
         return False
     if k == 1:
         return True
-    for u, cu in enumerate(closed):
-        for cv in closed[u + 1:]:
-            if cu | cv == full:
-                return False
+    if next(disjoint_pairs(ins), None) is not None:
+        return False
     if k == 2:
         return True
     # No pair dominates, so a third vertex w completes {u, v} iff w is in the
     # closed in-neighbourhood of every vertex that u and v miss.
-    closed_in = [full & ~row | 1 << v for v, row in enumerate(t.rows)]
-    for u, cu in enumerate(closed):
-        for cv in closed[u + 1:]:
-            missed = full & ~(cu | cv)
+    full = t.full_mask
+    closed_in = [row | 1 << v for v, row in enumerate(ins)]
+    for u, iu in enumerate(ins):
+        for iv in ins[u + 1:]:
+            missed = iu & iv
             common = full
             while missed and common:
                 low = missed & -missed
@@ -112,10 +110,5 @@ def domination_graph(t: Tournament) -> SimpleGraph:
 
 def competition_graph(t: Tournament) -> SimpleGraph:
     """Edge {x, y} iff x and y share at least one common out-neighbour."""
-    edges = set()
-    for u in range(t.n):
-        ou = t.out_mask(u)
-        for v in range(u + 1, t.n):
-            if ou & t.out_mask(v):
-                edges.add((u, v))
-    return SimpleGraph(t.n, frozenset(edges))
+    pairs = frozenset(combinations(range(t.n), 2))
+    return SimpleGraph(t.n, pairs - frozenset(disjoint_pairs(t.rows)))

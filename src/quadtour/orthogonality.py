@@ -4,6 +4,8 @@ Two vectors are combinatorially orthogonal when their supports overlap in a
 number of positions different from 1.  A digraph whose adjacency matrix is
 the pattern of a combinatorially orthogonal matrix is quadrangular:
 |O(u) n O(v)| != 1 and |I(u) n I(v)| != 1 for every distinct pair u, v.
+Both sides run one row-pair scan: the out side on the out-rows, the in side
+on the in-rows, i.e. the out-rows of the dual.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .core import Tournament, columns, iter_bits
+from .core import Tournament, columns, dual, iter_bits
 from .errors import NotSquare
 
 
@@ -58,7 +60,7 @@ def comb_row_orthogonal(p: BinaryPattern) -> Tuple[bool, Optional[Tuple[int, int
 
     On failure returns the lexicographically smallest offending row pair.
     """
-    pair = _first_pair(p.bits, "out")
+    pair = _first_pair(p.bits)
     return pair is None, pair
 
 
@@ -92,44 +94,28 @@ class QuadReport:
     witness: Optional[Witness]
 
 
-def _first_pair(rows, side: str) -> Optional[Tuple[int, int]]:
-    """Lexicographically smallest pair u < v failing the side's test, or None.
-
-    "out": rows u and v share exactly one bit.  "in": the union of rows u and
-    v has len(rows) - 2 bits (see _scan_side).
-    """
+def _first_pair(rows) -> Optional[Tuple[int, int]]:
+    """Lexicographically smallest pair u < v whose rows share exactly one bit, or None."""
     n = len(rows)
-    if side == "out":
-        for u, ru in enumerate(rows):
-            for v in range(u + 1, n):
-                if (ru & rows[v]).bit_count() == 1:
-                    return u, v
-    else:
-        target = n - 2
-        for u, ru in enumerate(rows):
-            for v in range(u + 1, n):
-                if (ru | rows[v]).bit_count() == target:
-                    return u, v
+    for u, ru in enumerate(rows):
+        for v in range(u + 1, n):
+            if (ru & rows[v]).bit_count() == 1:
+                return u, v
     return None
 
 
 def _scan_side(t: Tournament, side: str) -> QuadReport:
     """Scan every pair's common out- or in-neighbourhood for size exactly 1.
 
-    The in side reads the same out-rows: I(u) n I(v) is V minus O(u) u O(v)
-    minus {u, v}, and O(u) u O(v) holds exactly one of u, v (the one beaten),
-    so |I(u) n I(v)| = n - 1 - |O(u) u O(v)|, and a pair fails iff its
-    out-row union has n - 2 bits.  The common set is built for the witness only.
+    The out side reads the out-rows, the in side the in-rows (the out-rows
+    of the dual); the witness's common set is the two rows' intersection.
     """
-    pair = _first_pair(t.rows, side)
+    rows = t.rows if side == "out" else dual(t).rows
+    pair = _first_pair(rows)
     if pair is None:
         return QuadReport(True, side, None)
     u, v = pair
-    if side == "out":
-        common = t.out_mask(u) & t.out_mask(v)
-    else:
-        common = t.in_mask(u) & t.in_mask(v)
-    return QuadReport(False, side, Witness(u, v, tuple(iter_bits(common))))
+    return QuadReport(False, side, Witness(u, v, tuple(iter_bits(rows[u] & rows[v]))))
 
 
 def quadrangularity(t: Tournament, side: str = "both"):
@@ -156,10 +142,10 @@ def is_quadrangular(t: Tournament) -> bool:
 
 
 def closed_union_in_quad(t: Tournament) -> bool:
-    """In-quadrangularity via closed outsets: |O[u] u O[v]| != n-1 for all pairs.
+    """In-quadrangularity: |O[u] u O[v]| != n-1 for all pairs.
 
-    O[u] u O[v] is O(u) u O(v) plus the one of u, v it lacks, so this is the
-    in-side pair scan's test.
+    O[u] u O[v] misses exactly I(u) n I(v), so this is the in-side scan,
+    which reads the in-rows.
     """
     return _scan_side(t, "in").verdict
 

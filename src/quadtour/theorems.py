@@ -21,6 +21,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     Tournament,
+    disjoint_pairs,
     dual,
     induced,
     is_isomorphic,
@@ -314,11 +315,7 @@ def verify_rotational_dichotomy(t: Tournament, sym: Symbol) -> bool:
     every pairwise outset intersection nonempty.
     """
     n = t.n
-    all_overlap = all(
-        t.out_mask(u) & t.out_mask(v)
-        for u in range(n)
-        for v in range(u + 1, n)
-    )
+    all_overlap = next(disjoint_pairs(t.rows), None) is None
     if not all_overlap and not is_isomorphic(t, u_n(n)):
         return False
     if n > 3 and is_quadrangular(t) and not all_overlap:

@@ -146,6 +146,56 @@ def brute_gamma_exceeds(t: Tournament, k: int) -> bool:
     )
 
 
+def brute_closed_outs(t: Tournament) -> list:
+    """Each vertex with the vertices it beats, as vertex sets, arc by arc."""
+    return [{v} | {w for w in range(t.n) if t.has_arc(v, w)} for v in range(t.n)]
+
+
+def brute_dominates(t: Tournament, s) -> bool:
+    """Every vertex is in s or beaten by a member of s, as vertex sets."""
+    closed = brute_closed_outs(t)
+    return set().union(*(closed[v] for v in s)) == set(range(t.n))
+
+
+def brute_dominant_pairs(t: Tournament) -> list:
+    """All pairs {u, v}, u < v, that dominate t, lexicographic."""
+    closed = brute_closed_outs(t)
+    everyone = set(range(t.n))
+    return [
+        (u, v)
+        for u in range(t.n)
+        for v in range(u + 1, t.n)
+        if closed[u] | closed[v] == everyone
+    ]
+
+
+def brute_competition_edges(t: Tournament) -> set:
+    """Pairs u < v with at least one common out-neighbour, as vertex sets."""
+    outs = [{w for w in range(t.n) if t.has_arc(v, w)} for v in range(t.n)]
+    return {
+        (u, v)
+        for u in range(t.n)
+        for v in range(u + 1, t.n)
+        if outs[u] & outs[v]
+    }
+
+
+def brute_disjoint_pairs(rows) -> list:
+    """All index pairs i < j whose bitmasks share no set bit, lexicographic."""
+    sets = [set(iter_bits(r)) for r in rows]
+    return [
+        (i, j)
+        for i in range(len(rows))
+        for j in range(i + 1, len(rows))
+        if not sets[i] & sets[j]
+    ]
+
+
+def brute_is_regular(t: Tournament) -> bool:
+    """Every vertex beats the same number of vertices, arc by arc."""
+    return len({sum(t.has_arc(v, w) for w in range(t.n)) for v in range(t.n)}) == 1
+
+
 def brute_bad_pair(n: int, rows) -> tuple:
     """Lexicographically smallest pair u < v with zero or two arcs, or None."""
     for u in range(n):

@@ -7,11 +7,19 @@ sizes where a witness need not sit at the first pair.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
-from quadtour.core import Tournament, induced, validate
-from quadtour.domination import gamma_exceeds
+from quadtour.core import Tournament, disjoint_pairs, dual, induced, validate
+from quadtour.domination import (
+    competition_graph,
+    dominant_pairs,
+    dominates,
+    domination_graph,
+    domination_number,
+    gamma_exceeds,
+)
 from quadtour.errors import MissingOrDoubleArc, VertexOutOfRange
 from quadtour.generators import (
     all_tournaments,
@@ -32,6 +40,11 @@ from quadtour.symbols import family_symbol
 
 from helpers import (
     brute_bad_pair,
+    brute_competition_edges,
+    brute_disjoint_pairs,
+    brute_dominant_pairs,
+    brute_dominates,
+    brute_gamma,
     brute_gamma_exceeds,
     brute_in_quadrangular,
     brute_induced,
@@ -106,6 +119,43 @@ def test_row_orthogonal_matches_brute():
 def test_gamma_exceeds_matches_brute(k):
     for t in ALL:
         assert gamma_exceeds(t, k) == brute_gamma_exceeds(t, k)
+
+
+def test_disjoint_pairs_matches_brute():
+    for t in ALL:
+        for rows in (t.rows, dual(t).rows):
+            assert list(disjoint_pairs(rows)) == brute_disjoint_pairs(rows)
+
+
+def test_dominant_pairs_match_brute():
+    for t in ALL:
+        want = brute_dominant_pairs(t)
+        assert dominant_pairs(t) == tuple(want)
+        assert domination_graph(t).edges == frozenset(want)
+
+
+def test_competition_graph_matches_brute():
+    for t in ALL:
+        assert competition_graph(t).edges == brute_competition_edges(t)
+
+
+def test_dominates_matches_brute():
+    rng = random.Random(17)
+    for t in ALL:
+        assert not dominates(t, [])
+        for _ in range(1 if t.n <= 6 else 10):
+            s = rng.sample(range(t.n), rng.randint(1, t.n))
+            assert dominates(t, s) == brute_dominates(t, s)
+
+
+def test_domination_number_matches_brute():
+    for t in ALL:
+        if t.n > 12:
+            continue
+        gamma = brute_gamma(t)
+        min_set = next(c for c in combinations(range(t.n), gamma) if brute_dominates(t, c))
+        info = domination_number(t)
+        assert (info.gamma, info.min_set) == (gamma, min_set)
 
 
 def test_validate_reports_smallest_bad_pair():

@@ -15,8 +15,8 @@ from itertools import chain
 from typing import List, Optional
 
 from . import core, domination, generators, matrixio, orthogonality, symbols, theorems
-from .errors import (HypothesisNotSatisfied, InvalidSymbol, QuadTourError,
-                     SizeLimitExceeded)
+from .errors import (HypothesisNotSatisfied, InvalidSymbol, MatrixParseError,
+                     QuadTourError, SizeLimitExceeded)
 
 SCHEMA_VERSION = "1"
 
@@ -38,14 +38,20 @@ def _emit(args, report: dict, human_lines) -> None:
             print(line)
 
 
-def _read_tournament(path: str) -> core.Tournament:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return matrixio.parse_tournament(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise MatrixParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_tournament(path: str) -> core.Tournament:
+    return matrixio.parse_tournament(_read_text(path))
 
 
 def _read_pattern(path: str) -> orthogonality.BinaryPattern:
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrixio.parse_pattern(fh.read())
+    return matrixio.parse_pattern(_read_text(path))
 
 
 def _parse_symbol_arg(n: int, text: str) -> generators.Symbol:

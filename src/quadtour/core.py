@@ -207,13 +207,15 @@ def strong_decomposition(t: Tournament) -> StrongDecomposition:
     that are not a tournament (the constructor trusts its input).
     """
     n = t.n
-    order = sorted(range(n), key=lambda v: (-t.out_degree(v), v))
+    scores = t.scores()
+    # Descending score, ascending label among ties: the sort is stable under reverse.
+    order = sorted(range(n), key=scores.__getitem__, reverse=True)
     components = []
     current = []
     prefix = 0
     for k, v in enumerate(order, start=1):
         current.append(v)
-        prefix += t.out_degree(v)
+        prefix += scores[v]
         if prefix == k * (k - 1) // 2 + k * (n - k):
             components.append(tuple(sorted(current)))
             current = []

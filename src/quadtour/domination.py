@@ -4,6 +4,8 @@ A vertex outside S escapes S exactly when it beats every member, and no
 vertex is in its own in-set, so S dominates iff its members' in-sets have
 an empty intersection.  The domination tests read the in-rows, the out-rows
 of the dual, through this criterion; for pairs it is core.disjoint_pairs.
+The in-rows of a reversal are the out-rows of the original, so a caller that
+asks whether gamma(T^r) > 2 passes T.rows to _exceeds_two and builds no dual.
 """
 
 from __future__ import annotations
@@ -73,16 +75,20 @@ def domination_number(t: Tournament) -> DominationInfo:
     raise AssertionError("the full vertex set always dominates")
 
 
+def _exceeds_two(ins) -> bool:
+    """gamma > 2 for the tournament with these in-rows: no vertex has an empty
+    in-set (a transmitter) and no two in-sets are disjoint (a dominant pair)."""
+    return 0 not in ins and next(disjoint_pairs(ins), None) is None
+
+
 def gamma_exceeds(t: Tournament, k: int) -> bool:
     """True iff no dominating set of size <= k exists, for k in {1, 2, 3}."""
     if k not in (1, 2, 3):
         raise UnsupportedK(f"k must be 1, 2 or 3, got {k}")
     ins = dual(t).rows
-    if 0 in ins:
-        return False
     if k == 1:
-        return True
-    if next(disjoint_pairs(ins), None) is not None:
+        return 0 not in ins
+    if not _exceeds_two(ins):
         return False
     if k == 2:
         return True

@@ -5,7 +5,8 @@ number of positions different from 1.  A digraph whose adjacency matrix is
 the pattern of a combinatorially orthogonal matrix is quadrangular:
 |O(u) n O(v)| != 1 and |I(u) n I(v)| != 1 for every distinct pair u, v.
 Both sides run one row-pair scan: the out side on the out-rows, the in side
-on the in-rows, i.e. the out-rows of the dual.
+on the in-rows, i.e. the out-rows of the dual.  The is_* predicates only ask
+whether the scan finds a pair; quadrangularity() also reports the witness.
 """
 
 from __future__ import annotations
@@ -130,11 +131,11 @@ def quadrangularity(t: Tournament, side: str = "both"):
 
 
 def is_out_quadrangular(t: Tournament) -> bool:
-    return _scan_side(t, "out").verdict
+    return _first_pair(t.rows) is None
 
 
 def is_in_quadrangular(t: Tournament) -> bool:
-    return _scan_side(t, "in").verdict
+    return _first_pair(dual(t).rows) is None
 
 
 def is_quadrangular(t: Tournament) -> bool:
@@ -147,7 +148,7 @@ def closed_union_in_quad(t: Tournament) -> bool:
     O[u] u O[v] misses exactly I(u) n I(v), so this is the in-side scan,
     which reads the in-rows.
     """
-    return _scan_side(t, "in").verdict
+    return is_in_quadrangular(t)
 
 
 class NnzReport(NamedTuple):

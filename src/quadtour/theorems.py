@@ -10,7 +10,8 @@ the order it reports them.  `Facts(t)` holds what the rules read about one
 tournament: the O(n) facts are computed when it is built, the costlier ones on
 first use.  Build it per instance, pass it to classify and every verifier, and
 drop it with the instance.  Called without one, classify and each verifier
-build their own.
+build their own.  A condition on the reversal (T - S)^r of rest = T - S reads
+rest's out-rows as the reversal's in-rows, so it builds no dual.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .core import (
     Tournament,
     disjoint_pairs,
-    dual,
     induced,
     is_isomorphic,
     iter_bits,
     special_vertices,
     strong_decomposition,
 )
-from .domination import gamma_exceeds
+from .domination import _exceeds_two, gamma_exceeds
 from .errors import HypothesisNotSatisfied, NotRegular
 from .generators import Symbol, u_n
 from .orthogonality import is_in_quadrangular, is_out_quadrangular, is_quadrangular
@@ -101,8 +101,15 @@ class Facts:
 
 
 def _without(t: Tournament, drop) -> Tournament:
-    dropped = set(drop)
-    return induced(t, [v for v in range(t.n) if v not in dropped])
+    """t minus the vertices in drop, relabelled 0..k-1 in label order as
+    induced() would.  Deleting d keeps each kept row's bits below d and shifts
+    those above it down one; the highest label goes first, so the labels
+    still to delete have not moved."""
+    rows = t.rows
+    for d in sorted(set(drop), reverse=True):
+        low = (1 << d) - 1
+        rows = [(row >> (d + 1) << d) | (row & low) for v, row in enumerate(rows) if v != d]
+    return Tournament(len(rows), rows)
 
 
 def _lone_neighbour(t: Tournament, x: int, side: str):
@@ -121,7 +128,7 @@ def _if(holds: bool) -> tuple:
 def _transmitter_receiver_conditions(f: Facts, _):
     rest = _without(f.t, f.special)
     yield "gamma(T-{s,t})>2", gamma_exceeds(rest, 2)
-    yield "gamma((T-{s,t})^r)>2", gamma_exceeds(dual(rest), 2)
+    yield "gamma((T-{s,t})^r)>2", _exceeds_two(rest.rows)
 
 
 def _transmitter_only_conditions(f: Facts, _):
@@ -133,7 +140,7 @@ def _transmitter_only_conditions(f: Facts, _):
 
 def _receiver_only_conditions(f: Facts, _):
     rest = _without(f.t, (f.special.receiver,))
-    yield "gamma((T-t)^r)>2", gamma_exceeds(dual(rest), 2)
+    yield "gamma((T-t)^r)>2", _exceeds_two(rest.rows)
     yield "T-t in-quadrangular", is_in_quadrangular(rest)
     yield "min-indeg(T-t)>=2", rest.min_in_degree() >= 2
 
@@ -153,7 +160,7 @@ def _degree_one_conditions(f: Facts, x: int, side: str):
     yield f"{side}(y)=T-{{x,y}}", forced
     rest = _without(f.t, (x, y))
     yield "gamma(T-{x,y})>2", gamma_exceeds(rest, 2)
-    yield "gamma((T-{x,y})^r)>2", gamma_exceeds(dual(rest), 2)
+    yield "gamma((T-{x,y})^r)>2", _exceeds_two(rest.rows)
     yield "min-outdeg(T-{x,y})>=2", rest.min_out_degree() >= 2
     yield "min-indeg(T-{x,y})>=2", rest.min_in_degree() >= 2
 

@@ -128,6 +128,20 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["check", "/nonexistent/file.txt"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "{}"],
+        ["check", "{}", "--what", "orth"],
+        ["dom", "{}"],
+        ["export", "{}"],
+        ["gen", "augment", "--input", "{}", "--transmitter"],
+    ])
+    def test_non_utf8_file_is_two(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, [arg.format(path) for arg in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "not UTF-8" in err and "Traceback" not in err
+
     def test_search_first_not_found_is_one(self, capsys):
         code, _, _ = run(capsys, ["search", "--n", "9", "--first"])
         assert code == 1

@@ -3,7 +3,10 @@
 Inputs: every labelled tournament with n <= 6, seeded random tournaments
 with 7 <= n <= 40, and seeded relabellings of quadrangular rotational and
 quadratic-residue tournaments, so both verdicts of each scan are reached at
-sizes where a witness need not sit at the first pair.
+sizes where a witness need not sit at the first pair.  The theorem layer's
+vertex deletion and its reversed-side domination test are checked against
+induced() and against the reversal itself, on cores whose domination number
+differs from their reversal's.
 """
 
 import random
@@ -13,6 +16,7 @@ import pytest
 
 from quadtour.core import Tournament, disjoint_pairs, dual, induced, validate
 from quadtour.domination import (
+    _exceeds_two,
     competition_graph,
     dominant_pairs,
     dominates,
@@ -34,9 +38,11 @@ from quadtour.orthogonality import (
     closed_union_in_quad,
     comb_row_orthogonal,
     is_in_quadrangular,
+    is_out_quadrangular,
     quadrangularity,
 )
 from quadtour.symbols import family_symbol
+from quadtour.theorems import RULES, Facts, _without
 
 from helpers import (
     brute_bad_pair,
@@ -48,6 +54,7 @@ from helpers import (
     brute_gamma_exceeds,
     brute_in_quadrangular,
     brute_induced,
+    brute_out_quadrangular,
     brute_render,
     brute_row_pair,
     brute_transpose,
@@ -102,7 +109,15 @@ def test_scan_witness_matches_brute(side):
 
 def test_closed_union_matches_in_scan():
     for t in ALL:
-        assert closed_union_in_quad(t) == is_in_quadrangular(t)
+        assert closed_union_in_quad(t) == brute_in_quadrangular(t)
+
+
+@pytest.mark.parametrize("side", ["out", "in"])
+def test_predicates_match_report_and_brute(side):
+    predicate, brute = {"out": (is_out_quadrangular, brute_out_quadrangular),
+                        "in": (is_in_quadrangular, brute_in_quadrangular)}[side]
+    for t in ALL:
+        assert predicate(t) == quadrangularity(t, side).verdict == brute(t)
 
 
 def test_row_orthogonal_matches_brute():
@@ -119,6 +134,13 @@ def test_row_orthogonal_matches_brute():
 def test_gamma_exceeds_matches_brute(k):
     for t in ALL:
         assert gamma_exceeds(t, k) == brute_gamma_exceeds(t, k)
+
+
+def test_in_row_gamma_kernel_matches_reversal():
+    # The in-rows of t's reversal are t's out-rows, and the other way round.
+    for t in ALL:
+        assert _exceeds_two(t.rows) == gamma_exceeds(dual(t), 2)
+        assert _exceeds_two(dual(t).rows) == gamma_exceeds(t, 2)
 
 
 def test_disjoint_pairs_matches_brute():
@@ -213,3 +235,81 @@ def test_induced_names_smallest_out_of_range_vertex():
             continue
         with pytest.raises(VertexOutOfRange, match=rf"^vertex {bad[0]} not in"):
             induced(t, keep)
+
+
+def _asymmetric_cores():
+    """Seeded random tournaments R, 10 <= n <= 20, for which gamma(R) > 2 and
+    gamma(R^r) > 2 differ, both ways round."""
+    cores = []
+    for seed in range(60):
+        r = random_tournament(10 + seed % 11, seed)
+        if brute_gamma_exceeds(r, 2) != brute_gamma_exceeds(dual(r), 2):
+            cores.append(r)
+    assert {brute_gamma_exceeds(r, 2) for r in cores} == {True, False}
+    return cores
+
+
+def _degree_one(r: Tournament) -> Tournament:
+    """R plus y beating all of R and x beating only y: x has out-degree 1."""
+    n = r.n
+    return Tournament(n + 2, [row | 1 << (n + 1) for row in r.rows] + [r.full_mask, 1 << n])
+
+
+def _around_cores():
+    rng = random.Random(404)
+    out = []
+    for r in _asymmetric_cores():
+        for t in (augment(r, 1, 1), augment(r, 1, 0), augment(r, 0, 1), _degree_one(r)):
+            out += [t, dual(t), relabel(t, rng)]
+    return out
+
+
+AROUND_CORES = _around_cores()
+
+
+def _deleted(t: Tournament, rule: str, subject) -> tuple:
+    """The vertices whose deletion a rule's conditions speak about."""
+    if rule in ("out-degree-one", "in-degree-one"):
+        beats = t.has_arc if rule == "out-degree-one" else lambda u, v: t.has_arc(v, u)
+        return subject, next(w for w in range(t.n) if w != subject and beats(subject, w))
+    scores = [sum(t.has_arc(v, w) for w in range(t.n)) for v in range(t.n)]
+    transmitter = tuple(v for v in range(t.n) if scores[v] == t.n - 1)
+    receiver = tuple(v for v in range(t.n) if scores[v] == 0)
+    return {"transmitter-receiver": transmitter + receiver,
+            "transmitter-only": transmitter, "receiver-only": receiver}[rule]
+
+
+def test_without_matches_induced():
+    cuts = {n: [(drop, [v for v in range(n) if v not in drop])
+                for size in (1, 2) for drop in combinations(range(n), size) if size < n]
+            for n in range(1, 7)}
+    for t in SMALL:
+        for drop, keep in cuts[t.n]:
+            assert _without(t, drop) == induced(t, keep), (t, drop)
+
+
+def test_without_matches_induced_at_n_1000():
+    rng = random.Random(1000)
+    family = rotational(family_symbol(999))
+    for a, b in ((1, 1), (1, 0), (0, 1)):
+        t = relabel(augment(family, a, b), rng)
+        drops = [tuple(v for v, row in enumerate(t.rows) if row.bit_count() in (0, t.n - 1))]
+        drops += [(0,), (t.n - 1,), (0, t.n - 1), tuple(rng.sample(range(t.n), 2))]
+        for drop in drops:
+            assert _without(t, drop) == induced(t, set(range(t.n)) - set(drop))
+
+
+def test_rule_gamma_conditions_match_brute():
+    # Each rule that deletes vertices tests gamma > 2 on the rest, and on its
+    # reversal, against subset search on the deleted-then-reversed tournament.
+    for t in LARGER + AROUND_CORES:
+        facts = Facts(t)
+        for name in ("transmitter-receiver", "transmitter-only", "receiver-only",
+                     "out-degree-one", "in-degree-one"):
+            for subject in RULES[name].subjects(facts):
+                dropped = _deleted(t, name, subject)
+                rest = brute_induced(t, [v for v in range(t.n) if v not in dropped])
+                for cond, value in facts.trace(RULES[name], subject).conditions:
+                    if cond.startswith("gamma("):
+                        side = dual(rest) if cond.endswith("^r)>2") else rest
+                        assert value == brute_gamma_exceeds(side, 2), (name, cond, t)

@@ -63,12 +63,3 @@ def to_json_adjacency(t: Tournament) -> dict:
         "n": t.n,
         "rows": core.bit_strings(t.n, t.rows),
     }
-
-
-def tournament_from_json(obj: dict) -> Tournament:
-    try:
-        n = int(obj["n"])
-        rows = list(obj["rows"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixParseError(f"bad JSON adjacency payload: {exc}") from exc
-    return parse_tournament("\n".join([str(n)] + rows) + "\n")

@@ -3,10 +3,11 @@
 Each characterization is a `Rule` in RULES: its hypothesis, the subjects it
 speaks about (none when the hypothesis fails) and the named conditions that
 decide quadrangularity for a subject.  classify() reports every condition of
-the first rule that has a subject; a rule's verify_* compares its verdict on
-each subject with the direct out/in oracle, and a disagreement means a library
-bug (or a falsified statement).  VERIFIERS names the checks a sweep runs, in
-the order it reports them.  `Facts(t)` holds what the rules read about one
+the first rule that has a subject, on its first subject; a rule's verify_*
+compares its verdict on each subject, read only until the conditions settle
+it, with the direct out/in oracle, and a disagreement means a library bug (or
+a falsified statement).  VERIFIERS names the checks a sweep runs, in the
+order it reports them.  `Facts(t)` holds what the rules read about one
 tournament: the O(n) facts are computed when it is built, the costlier ones on
 first use.  Build it per instance, pass it to classify and every verifier, and
 drop it with the instance.  Called without one, classify and each verifier
@@ -31,7 +32,7 @@ from .core import (
 )
 from .domination import _exceeds_two, gamma_exceeds
 from .errors import HypothesisNotSatisfied, NotRegular
-from .generators import Symbol, u_n
+from .generators import u_n
 from .orthogonality import is_in_quadrangular, is_out_quadrangular, is_quadrangular
 
 
@@ -51,11 +52,10 @@ class Rule(NamedTuple):
 
 
 class Facts:
-    """The facts the rules read about one tournament t, and the trace of each
-    rule on each subject classify asked about.  The degree facts are plain
-    attributes; the decomposition and the oracle verdicts, which cost O(n^2)
-    or more, are computed on first use.  Nothing is cached on the Tournament
-    itself."""
+    """The facts the rules read about one tournament t.  The degree facts are
+    plain attributes; the decomposition and the oracle verdicts, which cost
+    O(n^2) or more, are computed on first use.  Nothing is cached on the
+    Tournament itself."""
 
     def __init__(self, t: Tournament):
         self.t = t
@@ -64,7 +64,6 @@ class Facts:
         self.low_out = [v for v, s in enumerate(scores) if s == 1]
         self.low_in = [v for v, s in enumerate(scores) if s == t.n - 2]
         self.regular = len(set(scores)) == 1
-        self._traces = {}  # (rule name, subject) -> ClassificationTrace
 
     @cached_property
     def decomposition(self):
@@ -81,23 +80,6 @@ class Facts:
     @cached_property
     def quadrangular(self) -> bool:
         return self.out_quad and self.in_quad
-
-    def trace(self, rule: Rule, subject) -> ClassificationTrace:
-        """Every condition of the rule on subject, and the verdict they give."""
-        key = (rule.name, subject)
-        if key not in self._traces:
-            conds = tuple(rule.conditions(self, subject))
-            verdict = rule.combine(v for _, v in conds)
-            self._traces[key] = ClassificationTrace(rule.name, conds, verdict)
-        return self._traces[key]
-
-    def verdict(self, rule: Rule, subject) -> bool:
-        """The rule's verdict on subject, evaluating conditions only until
-        they settle it unless classify already traced them."""
-        traced = self._traces.get((rule.name, subject))
-        if traced is not None:
-            return traced.verdict
-        return rule.combine(v for _, v in rule.conditions(self, subject))
 
 
 def _without(t: Tournament, drop) -> Tournament:
@@ -210,11 +192,17 @@ def classify(t: Tournament, facts: Optional[Facts] = None) -> ClassificationTrac
     for rule in RULES.values():
         subjects = rule.subjects(f)
         if subjects:
-            return f.trace(rule, subjects[0])
+            conds = tuple(rule.conditions(f, subjects[0]))
+            return ClassificationTrace(rule.name, conds, rule.combine(v for _, v in conds))
 
 
 # --- per-theorem verifiers -------------------------------------------------
 # Each takes an optional Facts(t) shared with classify and the other verifiers.
+
+
+def _verdict(rule: Rule, f: Facts, subject) -> bool:
+    """The rule's verdict on subject; the conditions stop once it is settled."""
+    return rule.combine(v for _, v in rule.conditions(f, subject))
 
 
 def _check(rule: Rule, t: Tournament, facts: Optional[Facts]) -> bool:
@@ -223,7 +211,7 @@ def _check(rule: Rule, t: Tournament, facts: Optional[Facts]) -> bool:
     subjects = rule.subjects(f)
     if not subjects:
         raise HypothesisNotSatisfied(rule.hypothesis)
-    return all(f.verdict(rule, s) == f.quadrangular for s in subjects)
+    return all(_verdict(rule, f, s) == f.quadrangular for s in subjects)
 
 
 def verify_transmitter_receiver(t: Tournament, facts: Optional[Facts] = None) -> bool:
@@ -297,7 +285,7 @@ def verify_regular(t: Tournament, facts: Optional[Facts] = None) -> bool:
     if not f.regular:
         raise NotRegular("tournament is not regular")
     # The regular rule's verdict is "gamma >= 4 or out-quadrangular".
-    return f.out_quad == f.in_quad == f.verdict(RULES["regular"], None)
+    return f.out_quad == f.in_quad == _verdict(RULES["regular"], f, None)
 
 
 # The checks a sweep runs on every instance, keyed and ordered as the `passes`
@@ -315,7 +303,7 @@ VERIFIERS = {
 }
 
 
-def verify_rotational_dichotomy(t: Tournament, sym: Symbol) -> bool:
+def verify_rotational_dichotomy(t: Tournament) -> bool:
     """A rotational tournament is U_n-isomorphic or has no disjoint outsets.
 
     Additionally, a quadrangular rotational tournament on n > 3 vertices has

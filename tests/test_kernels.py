@@ -309,7 +309,7 @@ def test_rule_gamma_conditions_match_brute():
             for subject in RULES[name].subjects(facts):
                 dropped = _deleted(t, name, subject)
                 rest = brute_induced(t, [v for v in range(t.n) if v not in dropped])
-                for cond, value in facts.trace(RULES[name], subject).conditions:
+                for cond, value in RULES[name].conditions(facts, subject):
                     if cond.startswith("gamma("):
                         side = dual(rest) if cond.endswith("^r)>2") else rest
                         assert value == brute_gamma_exceeds(side, 2), (name, cond, t)

@@ -1,6 +1,7 @@
 """Tests for the classifier and the per-theorem verifiers."""
 
 import collections
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,8 @@ from helpers import brute_all_tournaments, single_arc, three_cycle, transitive_t
 
 QR7 = quadratic_residue(7)
 ROT11 = rotational(make_symbol(11, {1, 3, 4, 5, 9}))
+# The instances `verify all --n-max 6` sweeps.
+SWEEP_CORPUS = [t for n in range(1, 7) for t in all_tournaments(n)] + cli._named_instances()
 
 
 def named_corpus():
@@ -88,6 +91,25 @@ class TestClassify:
         for seed in range(2000):
             t = random_tournament(3 + seed % 12, seed)
             assert classify(t).verdict == is_quadrangular(t)
+
+    def test_trace_lists_every_condition(self):
+        # classify reports each condition of its rule even after one is
+        # False; only the regular rule stops, once gamma >= 4 settles it.
+        counts = {"trivial-small": 1, "transmitter-receiver": 2, "transmitter-only": 3,
+                  "receiver-only": 3, "not-strong": 4, "out-degree-one": 5,
+                  "in-degree-one": 5, "direct-oracle": 1}
+        early_false = collections.Counter()
+        for t in SWEEP_CORPUS:
+            trace = classify(t)
+            values = [v for _, v in trace.conditions]
+            if trace.rule == "regular":
+                assert len(values) == (1 if values[0] else 2), t
+            else:
+                assert len(values) == counts[trace.rule], (trace.rule, t)
+            if False in values[:-1]:
+                early_false[trace.rule] += 1
+        assert set(early_false) >= {"transmitter-receiver", "transmitter-only", "receiver-only",
+                                    "out-degree-one", "in-degree-one"}
 
     def test_regular_seven_vertices(self):
         for t in regular_tournaments(7):
@@ -232,14 +254,13 @@ class TestRegular:
 
 class TestRotationalDichotomy:
     def test_u7_isomorphic_branch(self):
-        sym = make_symbol(7, {1, 2, 3})
-        assert verify_rotational_dichotomy(u_n(7), sym)
+        assert verify_rotational_dichotomy(u_n(7))
 
     def test_qr7_overlap_branch(self):
-        assert verify_rotational_dichotomy(QR7, make_symbol(7, {1, 2, 4}))
+        assert verify_rotational_dichotomy(QR7)
 
     def test_rot11(self):
-        assert verify_rotational_dichotomy(ROT11, make_symbol(11, {1, 3, 4, 5, 9}))
+        assert verify_rotational_dichotomy(ROT11)
         # every pairwise overlap is at least 2
         for u in range(11):
             for v in range(u + 1, 11):
@@ -250,7 +271,7 @@ class TestRotationalDichotomy:
 
         for n in (5, 7, 9):
             for sym in enumerate_symbols(n):
-                assert verify_rotational_dichotomy(rotational(sym), sym)
+                assert verify_rotational_dichotomy(rotational(sym))
 
 
 class TestUnNotQuadrangular:
@@ -287,11 +308,18 @@ def _sweep(capsys, *argv):
 
 class TestSharedFacts:
     def test_shared_facts_match_standalone(self):
-        for t in [t for n in range(1, 7) for t in all_tournaments(n)] + cli._named_instances():
+        # Both orders: classify then the verifiers, and the verifiers first.
+        for t in SWEEP_CORPUS:
+            trace = classify(t)
+            outcomes = {name: _outcome(fn, t) for name, fn in SHARED_VERIFIERS.items()}
             facts = Facts(t)
-            assert classify(t, facts) == classify(t), t
+            assert classify(t, facts) == trace, t
             for name, fn in SHARED_VERIFIERS.items():
-                assert _outcome(fn, t, facts) == _outcome(fn, t), (name, t)
+                assert _outcome(fn, t, facts) == outcomes[name], (name, t)
+            facts = Facts(t)
+            for name, fn in SHARED_VERIFIERS.items():
+                assert _outcome(fn, t, facts) == outcomes[name], (name, t)
+            assert classify(t, facts) == trace, t
 
     def test_each_fact_computed_once_per_instance(self, monkeypatch, capsys):
         calls = {name: collections.Counter() for name in ("special_vertices", "strong_decomposition")}
@@ -362,8 +390,12 @@ def _flip_rule(monkeypatch, name, first):
 
 
 def test_golden_sweep(capsys):
-    code, result = _sweep(capsys, "all", "--n-max", "6")
+    code = cli.main(["verify", "all", "--n-max", "6", "--json"])
+    out = capsys.readouterr().out
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c8e11922c5f9e0541cc59e499f1a173022089999b819894d21e945165a7652c8")
+    result = json.loads(out)["result"]
     assert result == {
         "instances": 33916,
         "classify_agreements": 33916,

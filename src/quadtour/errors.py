@@ -45,6 +45,10 @@ class InvalidSeed(QuadTourError, ValueError):
     """A random seed outside [0, 2**64); also a ValueError for older callers."""
 
 
+class InvalidSide(QuadTourError, ValueError):
+    """A quadrangularity side other than out, in or both; also a ValueError."""
+
+
 class EvenOrTooSmall(QuadTourError):
     pass
 

@@ -7,6 +7,9 @@ the pattern of a combinatorially orthogonal matrix is quadrangular:
 Both sides run one row-pair scan: the out side on the out-rows, the in side
 on the in-rows, i.e. the out-rows of the dual.  The is_* predicates only ask
 whether the scan finds a pair; quadrangularity() also reports the witness.
+The scan tests wide rows on their low word first: the common bits there are
+a subset of all common bits, so two of them rule the pair out, and only a
+pair with fewer needs the full-row AND.  Verdict and witness are unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 from .core import Tournament, columns, dual, iter_bits
-from .errors import NotSquare
+from .errors import DimensionMismatch, InvalidSide, NotSquare
+
+_WORD_BITS = 30  # one CPython digit: the pair scan's first test reads these low bits
+_WORD = (1 << _WORD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -37,18 +43,13 @@ class BinaryPattern:
 
 def pattern_of(matrix) -> BinaryPattern:
     """0/1 pattern of a real matrix: 1 exactly where the entry is nonzero."""
-    rows = []
-    width = None
-    for row in matrix:
-        entries = list(row)
-        if width is None:
-            width = len(entries)
-        bits = 0
-        for c, entry in enumerate(entries):
-            if entry != 0:
-                bits |= 1 << c
-        rows.append(bits)
-    return BinaryPattern(len(rows), width or 0, tuple(rows))
+    rows = [list(row) for row in matrix]
+    width = len(rows[0]) if rows else 0
+    for r, entries in enumerate(rows):
+        if len(entries) != width:
+            raise DimensionMismatch(f"row {r} has {len(entries)} entries, row 0 has {width}")
+    bits = tuple(sum(1 << c for c, entry in enumerate(entries) if entry != 0) for entries in rows)
+    return BinaryPattern(len(rows), width, bits)
 
 
 def adjacency_pattern(t: Tournament) -> BinaryPattern:
@@ -96,8 +97,20 @@ class QuadReport:
 
 
 def _first_pair(rows) -> Optional[Tuple[int, int]]:
-    """Lexicographically smallest pair u < v whose rows share exactly one bit, or None."""
+    """Lexicographically smallest pair u < v whose rows share exactly one bit, or None.
+
+    Past _WORD_BITS rows, wide rows skip the full-row AND when their low
+    words share two bits: a subset of the common bits, so no witness.
+    """
     n = len(rows)
+    if n > _WORD_BITS and max(rows) > _WORD:
+        low = [row & _WORD for row in rows]
+        for u, ru in enumerate(rows):
+            lu = low[u]
+            for v in range(u + 1, n):
+                if (lu & low[v]).bit_count() < 2 and (ru & rows[v]).bit_count() == 1:
+                    return u, v
+        return None
     for u, ru in enumerate(rows):
         for v in range(u + 1, n):
             if (ru & rows[v]).bit_count() == 1:
@@ -121,13 +134,11 @@ def _scan_side(t: Tournament, side: str) -> QuadReport:
 
 def quadrangularity(t: Tournament, side: str = "both"):
     """Quadrangularity check; returns a QuadReport, or a pair for side="both"."""
-    if side == "out":
-        return _scan_side(t, "out")
-    if side == "in":
-        return _scan_side(t, "in")
+    if side in ("out", "in"):
+        return _scan_side(t, side)
     if side == "both":
         return _scan_side(t, "out"), _scan_side(t, "in")
-    raise ValueError(f"side must be out, in or both, got {side!r}")
+    raise InvalidSide(f"side must be out, in or both, got {side!r}")
 
 
 def is_out_quadrangular(t: Tournament) -> bool:

@@ -3,7 +3,11 @@
 Inputs: every labelled tournament with n <= 6, seeded random tournaments
 with 7 <= n <= 40, and seeded relabellings of quadrangular rotational and
 quadratic-residue tournaments, so both verdicts of each scan are reached at
-sizes where a witness need not sit at the first pair.  The theorem layer's
+sizes where a witness need not sit at the first pair.  The row-pair scan first
+tests rows wider than a machine word on their low word, so it gets its own
+inputs with 61 <= n <= 160 and patterns up to 200 columns wide, including
+rows whose low words are empty and hand-made pairs whose common bits sit
+on either side of the word boundary.  The theorem layer's
 vertex deletion and its reversed-side domination test are checked against
 induced() and against the reversal itself, on cores whose domination number
 differs from their reversal's.
@@ -31,14 +35,17 @@ from quadtour.generators import (
     quadratic_residue,
     random_tournament,
     rotational,
+    u_n,
 )
 from quadtour.matrixio import parse_tournament, render_tournament
 from quadtour.orthogonality import (
+    _WORD,
     BinaryPattern,
     closed_union_in_quad,
     comb_row_orthogonal,
     is_in_quadrangular,
     is_out_quadrangular,
+    is_quadrangular,
     quadrangularity,
 )
 from quadtour.symbols import family_symbol
@@ -128,6 +135,121 @@ def test_row_orthogonal_matches_brute():
         ok, pair = comb_row_orthogonal(BinaryPattern(rows, cols, bits))
         want = brute_row_pair(bits)
         assert (ok, pair) == (want is None, want)
+
+
+def _glue(t: Tournament) -> Tournament:
+    """Not strong: a copy of t beating a second copy, labelled n..2n-1.
+
+    For n >= 30 the second copy's rows have empty low words."""
+    high = t.full_mask << t.n
+    return Tournament(2 * t.n, [row | high for row in t.rows] + [row << t.n for row in t.rows])
+
+
+def _late_witness(m: int, seed: int, k: int) -> Tournament:
+    """A random tournament R on m vertices plus y = m, beaten only by R's last
+    k vertices, and x = m + 1, beating only y.  The out-side witnesses are the
+    pairs (u, x) with u among those k, so the smallest comes after nearly
+    every other pair; the common out-neighbour y lies above the low word."""
+    r = random_tournament(m, seed)
+    beaten_by_y = (1 << (m - k)) - 1
+    rows = [row | (1 << m if v >= m - k else 0) | 1 << (m + 1) for v, row in enumerate(r.rows)]
+    return validate(m + 2, rows + [beaten_by_y, 1 << m])
+
+
+def _wide():
+    rng = random.Random(61)
+    out = [random_tournament(rng.randint(61, 160), seed) for seed in range(16)]
+    named = [quadratic_residue(p) for p in (67, 103, 131)]
+    named += [rotational(family_symbol(n)) for n in (63, 99, 151)]
+    named += [augment(named[3], 1, 1), u_n(61), u_n(101), u_n(159)]
+    out += [relabel(t, rng) for t in named for _ in range(2)]
+    out += [_glue(t) for t in (rotational(family_symbol(35)), rotational(family_symbol(79)),
+                               u_n(31), u_n(45), quadratic_residue(43))]
+    out += [_late_witness(rng.randint(60, 150), seed, 3) for seed in range(4)]
+    return out
+
+
+WIDE = _wide()
+
+
+def test_wide_inputs_reach_the_word_test_and_both_verdicts():
+    assert all(61 <= t.n <= 160 and max(t.rows) > _WORD for t in WIDE)
+    assert {brute_out_quadrangular(t) for t in WIDE} == {True, False}
+    assert {brute_in_quadrangular(t) for t in WIDE} == {True, False}
+    empty_low_words = [t for t in WIDE if not any(row & _WORD for row in t.rows[t.n // 2:])]
+    assert len(empty_low_words) == 5
+
+
+@pytest.mark.parametrize("side", ["out", "in"])
+def test_wide_scan_witness_matches_brute(side):
+    for t in WIDE + [dual(t) for t in WIDE]:
+        rep = quadrangularity(t, side)
+        want = brute_witness(t, side)
+        assert (None if rep.witness is None else tuple(rep.witness)) == want, t
+        assert rep.verdict == (want is None)
+
+
+def test_wide_predicates_match_brute():
+    for t in WIDE:
+        witness = brute_witness(t, "out")
+        out_ok, in_ok = witness is None, brute_in_quadrangular(t)
+        assert (is_out_quadrangular(t), is_in_quadrangular(t)) == (out_ok, in_ok)
+        assert is_quadrangular(t) == (out_ok and in_ok)
+        pair = None if witness is None else witness[:2]
+        assert comb_row_orthogonal(BinaryPattern(t.n, t.n, t.rows)) == (out_ok, pair)
+
+
+def test_late_witness_follows_many_settled_pairs():
+    for t in WIDE[-4:]:
+        u, v, common = brute_witness(t, "out")
+        assert (v, common) == (t.n - 1, (t.n - 2,)) and u >= t.n - 5
+        assert tuple(quadrangularity(t, "out").witness) == (u, v, common)
+        assert tuple(quadrangularity(dual(t), "in").witness) == (u, v, common)
+
+
+def test_wide_row_orthogonal_matches_brute():
+    rng = random.Random(200)
+    for _ in range(300):
+        rows, cols = rng.randint(31, 60), rng.randint(31, 200)
+        density = rng.choice((0.5, 0.1, 0.03))
+        bits = tuple(sum(1 << c for c in range(cols) if rng.random() < density)
+                     for _ in range(rows))
+        want = brute_row_pair(bits)
+        assert comb_row_orthogonal(BinaryPattern(rows, cols, bits)) == (want is None, want)
+
+
+HIGH = 1 << 100  # a column above the low word
+
+# (row a, row b, a witness?): common bits on either side of the word boundary.
+HAND_PAIRS = [
+    (HIGH | 0b0101, HIGH | 0b1010, True),  # the only common bit is above the word
+    (HIGH | 1 << 5, HIGH | 1 << 5 | 1 << 7, False),  # one inside, one above
+    (1 << 5 | HIGH, 1 << 5 | HIGH << 1, True),  # the only common bit is inside
+    (1 << 29 | 1 << 30, 1 << 29 | 1 << 30, False),  # one each side of the boundary
+    (1 << 30 | 1, 1 << 30 | 2, True),  # the lowest bit above the word
+    (1 << 29 | HIGH, 1 << 29 | 1 << 28, True),  # the highest bit inside the word
+    (0b11 | HIGH, 0b11, False),  # two inside
+    (HIGH | HIGH << 1, HIGH | HIGH << 1, False),  # two above, empty low words
+]
+
+
+@pytest.mark.parametrize("a, b, witness", HAND_PAIRS, ids=range(len(HAND_PAIRS)))
+def test_hand_made_pairs_across_the_word_boundary(a, b, witness):
+    assert (brute_row_pair((a, b)) == (0, 1)) == witness
+    want = (0, 1) if witness else None
+    assert comb_row_orthogonal(BinaryPattern(2, 200, (a, b))) == (want is None, want)
+    # Two rows take the plain loop; past 30 rows the word test runs.  The same
+    # pair after 40 dense rows, disjoint from it, that it settles among themselves.
+    rng = random.Random(a ^ b)
+    dense = []
+    while len(dense) < 40:
+        row = (rng.getrandbits(200) | HIGH << 50) & ~(a | b)
+        if all((row & d & _WORD).bit_count() >= 2 for d in dense):
+            dense.append(row)
+    bits = tuple(dense) + (a, b)
+    want = brute_row_pair(bits)
+    assert want == ((40, 41) if witness else None)
+    assert comb_row_orthogonal(BinaryPattern(42, 200, bits)) == (want is None, want)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from quadtour.core import Tournament, dual, validate
-from quadtour.errors import NotSquare
+from quadtour.errors import DimensionMismatch, InvalidSide, NotSquare, QuadTourError
 from quadtour.generators import (
     all_tournaments,
     make_symbol,
@@ -52,6 +52,21 @@ class TestPatternOf:
     def test_nonzero_map(self):
         p = pattern_of([[0, 2.5, -1]])
         assert p.rows == 1 and p.cols == 3 and p.bits == (0b110,)
+
+    def test_empty_matrix(self):
+        p = pattern_of([])
+        assert (p.rows, p.cols, p.bits) == (0, 0, ())
+
+    @pytest.mark.parametrize("matrix, bad, length", [
+        ([[1, 0], [0, 1, 1]], 1, 3),
+        ([[1, 0, 1], [0, 1, 1], [1, 1]], 2, 2),
+        ([[1, 0], [0, 1], [1], [1, 1, 1]], 2, 1),
+    ])
+    def test_ragged_rows_raise_naming_first_bad_row(self, matrix, bad, length):
+        width = len(matrix[0])
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^row {bad} has {length} entries, row 0 has {width}$"):
+            pattern_of(matrix)
 
 
 class TestCombRowOrthogonal:
@@ -114,6 +129,12 @@ class TestQuadrangularity:
         assert not rep.verdict
         assert (rep.witness.u, rep.witness.v) == (0, 1)
         assert rep.witness.common == (2,)
+
+    @pytest.mark.parametrize("side", ["", "OUT", "both ", None])
+    def test_bad_side_is_library_error_and_value_error(self, side):
+        with pytest.raises(InvalidSide, match="side must be out, in or both") as info:
+            quadrangularity(three_cycle(), side)
+        assert isinstance(info.value, QuadTourError) and isinstance(info.value, ValueError)
 
     def test_tiny_tournaments_quadrangular(self):
         assert is_quadrangular(validate(1, [0]))

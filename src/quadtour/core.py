@@ -41,8 +41,16 @@ def bit_strings(n: int, rows: Sequence[int]) -> list:
 
 
 def columns(n: int, rows: Sequence[int]) -> list:
-    """The n column bitmasks of an n-wide 0/1 matrix: bit r of column c is entry (r, c)."""
-    return [int("".join(col)[::-1], 2) for col in zip(*bit_strings(n, rows))]
+    """The n column bitmasks of an n-wide 0/1 matrix: bit r of column c is entry (r, c).
+
+    Rows are joined MSB-first, last row first, so every n-th character from
+    index n-1-c is column c read from its highest bit down.
+    """
+    if not rows:
+        return []
+    fmt = f"0{n}b"
+    whole = "".join([format(row, fmt) for row in reversed(rows)])
+    return [int(whole[i::n], 2) for i in range(n - 1, -1, -1)]
 
 
 def disjoint_pairs(rows: Sequence[int]) -> Iterator[tuple]:
@@ -99,10 +107,6 @@ class Tournament:
 
     def scores(self) -> tuple:
         return tuple(r.bit_count() for r in self.rows)
-
-    def arcs(self):
-        """All arcs (u, v) in lexicographic order."""
-        return [(u, v) for u in range(self.n) for v in iter_bits(self.rows[u])]
 
     def __eq__(self, other) -> bool:
         return (

@@ -6,6 +6,10 @@ an empty intersection.  The domination tests read the in-rows, the out-rows
 of the dual, through this criterion; for pairs it is core.disjoint_pairs.
 The in-rows of a reversal are the out-rows of the original, so a caller that
 asks whether gamma(T^r) > 2 passes T.rows to _exceeds_two and builds no dual.
+The gamma > 3 test asks, for each pair, whether some vertex lies in the
+closed in-set of every vertex the pair misses.  It reads the missed set a
+byte at a time, each byte indexing a 256-entry table of intersections over
+one 8-vertex chunk; a chunk's table is built the first time a pair needs it.
 """
 
 from __future__ import annotations
@@ -93,20 +97,34 @@ def gamma_exceeds(t: Tournament, k: int) -> bool:
     if k == 2:
         return True
     # No pair dominates, so a third vertex w completes {u, v} iff w is in the
-    # closed in-neighbourhood of every vertex that u and v miss.
+    # closed in-neighbourhood of every vertex that u and v miss.  Byte i of
+    # the missed set indexes tables[i], over vertices 8i..8i+7.
     full = t.full_mask
     closed_in = [row | 1 << v for v, row in enumerate(ins)]
+    width = (t.n + 7) // 8
+    tables = [None] * width
     for u, iu in enumerate(ins):
         for iv in ins[u + 1:]:
-            missed = iu & iv
             common = full
-            while missed and common:
-                low = missed & -missed
-                common &= closed_in[low.bit_length() - 1]
-                missed ^= low
-            if common:
+            for i, byte in enumerate((iu & iv).to_bytes(width, "little")):
+                if byte:
+                    table = tables[i]
+                    if table is None:
+                        table = tables[i] = _chunk_table(closed_in[8 * i:8 * i + 8], full)
+                    common &= table[byte]
+                    if not common:
+                        break
+            else:
                 return False
     return True
+
+
+def _chunk_table(chunk, full: int) -> list:
+    """Entry b is the intersection of chunk[j] over the set bits j of b."""
+    table = [full]
+    for mask in chunk:
+        table += [common & mask for common in table]
+    return table
 
 
 def domination_graph(t: Tournament) -> SimpleGraph:

@@ -2,9 +2,14 @@
 
 Matrix files carry a decimal vertex count on the first line followed by n
 lines of exactly n '0'/'1' characters; row u column v is 1 iff u beats v.
+DOT export builds one string per row: the row's bit string, translated to
+0/1 bytes, selects the arc heads from the vertex names, so no arc becomes a
+tuple or a formatted string of its own.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from . import core
 from .core import Tournament
@@ -32,7 +37,7 @@ def parse_pattern(text: str) -> BinaryPattern:
         raise MatrixParseError(f"expected {n} body lines, got {len(body)}")
     bits = []
     for r, line in enumerate(body):
-        if len(line) != n or set(line) - {"0", "1"}:
+        if len(line) != n or line.count("0") + line.count("1") != n:
             raise MatrixParseError(f"body line {r} must be {n} chars of 0/1")
         bits.append(int(line[::-1], 2))
     return BinaryPattern(n, n, tuple(bits))
@@ -47,15 +52,19 @@ def parse_tournament(text: str) -> Tournament:
         raise MatrixParseError(f"not a tournament: {exc}") from exc
 
 
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def to_dot(t: Tournament) -> str:
     """DOT digraph with arcs in lexicographic order."""
-    lines = ["digraph tournament {"]
-    for v in range(t.n):
-        lines.append(f"  {v};")
-    for u, v in t.arcs():
-        lines.append(f"  {u} -> {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    heads = [f"{v};\n" for v in range(t.n)]
+    parts = ["digraph tournament {\n", *[f"  {head}" for head in heads]]
+    for u, bits in enumerate(core.bit_strings(t.n, t.rows)):
+        if "1" in bits:
+            tail = f"  {u} -> "
+            parts.append(tail + tail.join(compress(heads, bits.encode().translate(_SELECTORS))))
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def to_json_adjacency(t: Tournament) -> dict:

@@ -233,6 +233,15 @@ def brute_render(t: Tournament) -> str:
     return "\n".join(lines) + "\n"
 
 
+def brute_dot(t: Tournament) -> str:
+    """DOT digraph, one vertex line per vertex, then one line per arc u -> v."""
+    lines = ["digraph tournament {"]
+    lines += [f"  {v};" for v in range(t.n)]
+    lines += [f"  {u} -> {v};" for u in range(t.n) for v in range(t.n) if t.has_arc(u, v)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def brute_induced(t: Tournament, keep) -> Tournament:
     kept = sorted(set(keep))
     rows = []

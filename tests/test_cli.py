@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import random
 import re
 
 import pytest
 
 from quadtour.cli import main
+from quadtour.core import Tournament, iter_bits
 from quadtour.errors import MatrixParseError
 from quadtour.generators import random_tournament, rotational, make_symbol
 from quadtour.matrixio import (
@@ -16,6 +18,7 @@ from quadtour.matrixio import (
     to_dot,
     to_json_adjacency,
 )
+from quadtour.symbols import family_symbol
 
 from helpers import three_cycle
 
@@ -91,7 +94,10 @@ class TestParseInput:
         code, out, _ = run(capsys, ["check", str(path)])
         assert (code, out) == (0, "quadrangular: True\n")
 
-    @pytest.mark.parametrize("row", ["0_1", "0 1", " 01", "01 ", "+01", "0b1", "-01", "\ufeff01"])
+    @pytest.mark.parametrize("row", [
+        "0_1", "0 1", " 01", "01 ", "+01", "0b1", "-01", "\ufeff01",
+        "\u066101", "\uff1101",  # Arabic-Indic and full-width digit one
+    ])
     def test_body_row_outside_01_rejected(self, row):
         # int(line, 2) alone would accept several of these.
         with pytest.raises(MatrixParseError, match="body line 0"):
@@ -269,6 +275,19 @@ class TestExport:
             "  0 -> 1;\n  1 -> 2;\n  2 -> 0;\n"
             "}\n"
         )
+
+    def test_dot_golden_relabelled_family_999(self, tmp_path, capsys):
+        t = rotational(family_symbol(999))
+        perm = random.Random(999).sample(range(999), 999)
+        rows = [0] * 999
+        for u, row in enumerate(t.rows):
+            rows[perm[u]] = sum(1 << perm[v] for v in iter_bits(row))
+        path = tmp_path / "family999.txt"
+        path.write_text(render_tournament(Tournament(999, rows)))
+        code, out, _ = run(capsys, ["export", str(path), "--format", "dot"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b28267b1d7f5f019a4bee58765108105d2b2cb87fc575d5d4a11ef02016e5c2b")
 
     def test_dot_library_matches(self):
         t = rotational(make_symbol(5, {1, 2}))

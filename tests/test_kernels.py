@@ -7,7 +7,10 @@ sizes where a witness need not sit at the first pair.  The row-pair scan first
 tests rows wider than a machine word on their low word, so it gets its own
 inputs with 61 <= n <= 160 and patterns up to 200 columns wide, including
 rows whose low words are empty and hand-made pairs whose common bits sit
-on either side of the word boundary.  The theorem layer's
+on either side of the word boundary.  The gamma > 3 test reads each missed
+set a byte at a time, so it gets inputs whose n straddles 8, 16 and 24,
+grown from QR_p by twin vertices, and relabelled QR_23, QR_31 and QR_43.
+DOT export is compared arc by arc on every input.  The theorem layer's
 vertex deletion and its reversed-side domination test are checked against
 induced() and against the reversal itself, on cores whose domination number
 differs from their reversal's.
@@ -18,6 +21,7 @@ from itertools import combinations
 
 import pytest
 
+from quadtour import domination
 from quadtour.core import Tournament, disjoint_pairs, dual, induced, validate
 from quadtour.domination import (
     _exceeds_two,
@@ -37,7 +41,7 @@ from quadtour.generators import (
     rotational,
     u_n,
 )
-from quadtour.matrixio import parse_tournament, render_tournament
+from quadtour.matrixio import parse_tournament, render_tournament, to_dot
 from quadtour.orthogonality import (
     _WORD,
     BinaryPattern,
@@ -57,6 +61,7 @@ from helpers import (
     brute_disjoint_pairs,
     brute_dominant_pairs,
     brute_dominates,
+    brute_dot,
     brute_gamma,
     brute_gamma_exceeds,
     brute_in_quadrangular,
@@ -258,6 +263,65 @@ def test_gamma_exceeds_matches_brute(k):
         assert gamma_exceeds(t, k) == brute_gamma_exceeds(t, k)
 
 
+def _with_twins(t: Tournament, n: int, rng: random.Random) -> Tournament:
+    """Grow t to n vertices, each new vertex copying a random vertex y's arcs
+    to the others and taking a random arc with y.  A twin keeps gamma > 2 (y's
+    in-set covers the pair {twin, y}) and cannot lower gamma: putting y in
+    its place in a dominating set dominates the tournament it was added to."""
+    rows = list(t.rows)
+    for x in range(t.n, n):
+        y = rng.randrange(x)
+        beats_y = rng.getrandbits(1)
+        rows = [row | ((row >> y) & 1) << x for row in rows]
+        if not beats_y:
+            rows[y] |= 1 << x
+        rows.append(rows[y] & ~(1 << x) | beats_y << y)
+    return validate(n, rows)
+
+
+def _gamma_three_inputs():
+    rng = random.Random(24)
+    out = []
+    for n in (7, 8, 9, 15, 16, 17, 24, 25):
+        bases = [quadratic_residue(p) for p in (7, 11, 19, 23) if p <= n]
+        out += [relabel(_with_twins(base, n, rng), rng) for base in bases for _ in range(2)]
+        out += [random_tournament(n, seed) for seed in range(10)]
+    return out
+
+
+GAMMA_THREE = _gamma_three_inputs()
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 24, 25])
+def test_gamma_three_across_chunk_boundaries(n):
+    # A pair's missed set is read a byte at a time: n straddles 8, 16 and 24.
+    # Only inputs with gamma > 2 reach that walk.
+    inputs = [t for t in GAMMA_THREE if t.n == n]
+    assert sum(_exceeds_two(dual(t).rows) for t in inputs) >= 2
+    for t in inputs:
+        assert gamma_exceeds(t, 3) == brute_gamma_exceeds(t, 3)
+    if n >= 24:
+        assert any(gamma_exceeds(t, 3) for t in inputs)
+
+
+@pytest.mark.parametrize("p", [23, 31, 43])
+def test_gamma_three_on_relabelled_residue_tournaments(p, monkeypatch):
+    build = domination._chunk_table
+    built = []
+
+    def counting_build(chunk, full):
+        built.append(chunk)
+        return build(chunk, full)
+
+    monkeypatch.setattr(domination, "_chunk_table", counting_build)
+    rng = random.Random(p)
+    for _ in range(3):
+        built.clear()
+        t = relabel(quadratic_residue(p), rng)
+        assert gamma_exceeds(t, 3) and brute_gamma_exceeds(t, 3)
+        assert len(built) >= 2  # the pairs need a table past the first one built
+
+
 def test_in_row_gamma_kernel_matches_reversal():
     # The in-rows of t's reversal are t's out-rows, and the other way round.
     for t in ALL:
@@ -324,6 +388,14 @@ def test_render_matches_brute_and_round_trips():
         text = render_tournament(t)
         assert text == brute_render(t)
         assert parse_tournament(text) == t
+
+
+def test_to_dot_matches_brute():
+    inputs = ALL + WIDE
+    assert any(t.n == 1 for t in inputs) and any(0 in t.rows for t in inputs)
+    assert any(t.n > 10 for t in inputs)
+    for t in inputs:
+        assert to_dot(t) == brute_dot(t)
 
 
 def test_transpose_matches_brute():

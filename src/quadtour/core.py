@@ -44,13 +44,12 @@ def columns(n: int, rows: Sequence[int]) -> list:
     """The n column bitmasks of an n-wide 0/1 matrix: bit r of column c is entry (r, c).
 
     Rows are joined MSB-first, last row first, so every n-th character from
-    index n-1-c is column c read from its highest bit down.
+    index n-1-c is column c read from its highest bit down.  With no rows
+    every slice is empty and every column 0.
     """
-    if not rows:
-        return []
     fmt = f"0{n}b"
     whole = "".join([format(row, fmt) for row in reversed(rows)])
-    return [int(whole[i::n], 2) for i in range(n - 1, -1, -1)]
+    return [int(whole[i::n] or "0", 2) for i in range(n - 1, -1, -1)]
 
 
 def disjoint_pairs(rows: Sequence[int]) -> Iterator[tuple]:

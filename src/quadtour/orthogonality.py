@@ -32,9 +32,14 @@ class BinaryPattern:
     cols: int
     bits: tuple  # bits[r] has bit c set iff entry (r, c) is 1
 
+    def __post_init__(self):
+        if self.cols < 0 or len(self.bits) != self.rows:
+            raise DimensionMismatch(f"{len(self.bits)} rows of bits for a {self.rows}x{self.cols} pattern")
+        for r, row in enumerate(self.bits):
+            if row < 0 or row >> self.cols:
+                raise DimensionMismatch(f"row {r} has bits outside {self.cols} columns")
+
     def transpose(self) -> "BinaryPattern":
-        if not self.rows or not self.cols:
-            return BinaryPattern(self.cols, self.rows, (0,) * self.cols)
         return BinaryPattern(self.cols, self.rows, tuple(columns(self.cols, self.bits)))
 
     def nnz(self) -> int:

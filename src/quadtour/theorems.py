@@ -24,6 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .core import (
     Tournament,
     disjoint_pairs,
+    dual,
     induced,
     is_isomorphic,
     iter_bits,
@@ -257,24 +258,17 @@ def verify_degree_lemmas(t: Tournament, facts: Optional[Facts] = None) -> bool:
 def verify_subtournament_degrees(t: Tournament, facts: Optional[Facts] = None) -> bool:
     """Outset/inset sub-tournament degree facts and the min-degree-4 corollaries.
 
-    The two-sided corollary follows from the one-sided ones.  All statements
-    are implications and hold vacuously when their hypotheses fail.
+    On the out-rows if T is out-quadrangular, on the in-rows (the dual's
+    out-rows) if in-quadrangular: w in s = rows[v] has degree |rows[w] & s| in
+    T[s], never 1, and the least degree is not 2 or 3.  Each unordered pair
+    {v, w} is met exactly once, as w in O(v) or as v in O(w), so this is an
+    independent second scan of every pair against the oracle.  The two-sided
+    corollary follows; every statement holds vacuously if its hypothesis fails.
     """
     f = Facts(t) if facts is None else facts
-    sides = (
-        (f.out_quad, t.out_mask, Tournament.out_degree, min(f.scores)),
-        (f.in_quad, t.in_mask, Tournament.in_degree, t.n - 1 - max(f.scores)),
-    )
-    for quad, mask, degree, min_degree in sides:
-        if not quad:
-            continue
-        for v in range(t.n):
-            if not mask(v):
-                continue
-            sub = induced(t, iter_bits(mask(v)))
-            if any(degree(sub, w) == 1 for w in range(sub.n)):
-                return False
-        if 2 <= min_degree < 4:
+    for rows in (f.out_quad and t.rows, f.in_quad and dual(t).rows):
+        if rows and (any((rows[w] & s).bit_count() == 1 for s in rows for w in iter_bits(s))
+                     or 2 <= min(map(int.bit_count, rows)) < 4):
             return False
     return True
 

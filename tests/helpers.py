@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from quadtour.core import Tournament, iter_bits, validate
+from quadtour.core import Tournament, induced, iter_bits, validate
 from quadtour.generators import Symbol
 
 
@@ -252,6 +252,28 @@ def brute_induced(t: Tournament, keep) -> Tournament:
                 row |= 1 << i
         rows.append(row)
     return Tournament(len(kept), rows)
+
+
+def brute_subtournament_degrees(t: Tournament, f) -> bool:
+    """verify_subtournament_degrees read off one induced sub-tournament per
+    outset (when f.out_quad) and per inset (when f.in_quad); f is a Facts(t),
+    possibly with forced verdicts."""
+    sides = (
+        (f.out_quad, t.out_mask, Tournament.out_degree, min(f.scores)),
+        (f.in_quad, t.in_mask, Tournament.in_degree, t.n - 1 - max(f.scores)),
+    )
+    for quad, mask, degree, min_degree in sides:
+        if not quad:
+            continue
+        for v in range(t.n):
+            if not mask(v):
+                continue
+            sub = induced(t, iter_bits(mask(v)))
+            if any(degree(sub, w) == 1 for w in range(sub.n)):
+                return False
+        if 2 <= min_degree < 4:
+            return False
+    return True
 
 
 def brute_symbol_criterion(sym: Symbol) -> tuple:

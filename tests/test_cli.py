@@ -7,10 +7,11 @@ import re
 
 import pytest
 
+from quadtour import theorems
 from quadtour.cli import main
 from quadtour.core import Tournament, iter_bits
 from quadtour.errors import MatrixParseError
-from quadtour.generators import random_tournament, rotational, make_symbol
+from quadtour.generators import make_symbol, quadratic_residue, random_tournament, rotational
 from quadtour.matrixio import (
     parse_pattern,
     parse_tournament,
@@ -34,6 +35,13 @@ def rot11_file(tmp_path):
     path = tmp_path / "rot11.txt"
     assert main(["gen", "rotational", "--n", "11", "--symbol", "1,3,4,5,9",
                  "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture
+def qr7_file(tmp_path):
+    path = tmp_path / "qr7.txt"
+    assert main(["gen", "qr", "--p", "7", "--out", str(path)]) == 0
     return path
 
 
@@ -93,6 +101,16 @@ class TestParseInput:
         path.write_bytes(b"\xef\xbb\xbf3\n010\n001\n100\n")
         code, out, _ = run(capsys, ["check", str(path)])
         assert (code, out) == (0, "quadrangular: True\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input"),
+        ("x\n", "bad header line 'x'"),
+        ("0\n", "bad vertex count 0"),
+        ("3\n010\n001\n", "expected 3 body lines, got 2"),
+    ])
+    def test_malformed_file_rejected(self, text, message):
+        with pytest.raises(MatrixParseError, match=rf"^{re.escape(message)}$"):
+            parse_pattern(text)
 
     @pytest.mark.parametrize("row", [
         "0_1", "0 1", " 01", "01 ", "+01", "0b1", "-01", "\ufeff01",
@@ -255,6 +273,36 @@ class TestJsonReports:
         assert "elapsed_ms" in payload and "elapsed_ms" not in payload["result"]
         assert payload["result"]["hits"][0] == [1, 3, 4, 5, 9]
 
+    @pytest.mark.parametrize("what, result", [
+        ("orth", {"verdict": False, "row_witness": [0, 1], "col_witness": [0, 1]}),
+        ("out", {"verdict": False, "side": "out", "witness": {"u": 0, "v": 1, "common": [2]}}),
+        ("in", {"verdict": False, "side": "in", "witness": {"u": 0, "v": 1, "common": [6]}}),
+    ])
+    def test_check_sides_qr7(self, qr7_file, capsys, what, result):
+        code, out, _ = run(capsys, ["check", str(qr7_file), "--what", what, "--json"])
+        assert (code, json.loads(out)["result"]) == (1, result)
+
+    @pytest.mark.parametrize("what", ["orth", "out", "in"])
+    def test_check_sides_rot11(self, rot11_file, capsys, what):
+        code, out, _ = run(capsys, ["check", str(rot11_file), "--what", what, "--json"])
+        result = json.loads(out)["result"]
+        assert (code, result["verdict"]) == (0, True)
+        assert all(value is None for key, value in result.items() if key.endswith("witness"))
+
+    def test_gen_augment_json(self, qr7_file, capsys):
+        code, out, _ = run(capsys, ["gen", "augment", "--input", str(qr7_file),
+                                    "--transmitter", "--receiver", "--json"])
+        assert code == 0
+        assert json.loads(out)["result"] == {"n": 9, "rows": [
+            "011010001", "001101001", "000110101", "100011001", "010001101",
+            "101000101", "110100001", "111111101", "000000000"]}
+
+    def test_gen_un_json(self, capsys):
+        code, out, _ = run(capsys, ["gen", "un", "--n", "5", "--json"])
+        assert code == 0
+        assert json.loads(out)["result"] == {
+            "n": 5, "rows": ["01100", "00110", "00011", "10001", "11000"]}
+
     def test_search_family(self, capsys):
         code, out, _ = run(capsys, ["search", "--n", "15", "--family", "--json"])
         assert code == 0
@@ -317,3 +365,32 @@ class TestVerifyCommand:
             "81897c673723f3e843b167d553f678a8a6480dd30230ffc64a202dd08379dcd4")
         payload = json.loads(out)
         assert payload["result"]["passes"]["transmitter-receiver"] > 0
+
+    def _failed_sweep(self, capsys):
+        code, out, _ = run(capsys, ["verify", "theorems", "--json"])
+        result = json.loads(out)["result"]
+        # QR_7, the first named instance, is regular and not quadrangular.
+        assert result["failure"]["matrix"] == to_json_adjacency(quadratic_residue(7))
+        assert result["instances"] == 49
+        return code, result
+
+    def test_classify_disagreement_is_reported(self, monkeypatch, capsys):
+        classify = theorems.classify
+
+        def negated(t, facts=None):
+            trace = classify(t, facts)
+            return theorems.ClassificationTrace(trace.rule, trace.conditions, not trace.verdict)
+
+        monkeypatch.setattr(theorems, "classify", negated)
+        code, result = self._failed_sweep(capsys)
+        assert (code, result["failure"]["verifier"]) == (1, "classify")
+        assert result["classify_agreements"] == 0
+        assert set(result["passes"].values()) == {0}
+
+    def test_regular_disagreement_is_reported(self, monkeypatch, capsys):
+        monkeypatch.setattr(theorems, "verify_regular", lambda t, facts=None: False)
+        code, result = self._failed_sweep(capsys)
+        assert (code, result["failure"]["verifier"]) == (1, "regular")
+        assert result["classify_agreements"] == 1
+        assert result["passes"] == {name: int(name == "subtournament-degrees")
+                                    for name in theorems.VERIFIERS}

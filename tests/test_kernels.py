@@ -13,7 +13,9 @@ grown from QR_p by twin vertices, and relabelled QR_23, QR_31 and QR_43.
 DOT export is compared arc by arc on every input.  The theorem layer's
 vertex deletion and its reversed-side domination test are checked against
 induced() and against the reversal itself, on cores whose domination number
-differs from their reversal's.
+differs from their reversal's.  The outset/inset degree verifier, which reads
+sub-tournament degrees off row intersections, is compared with one that builds
+each sub-tournament by induced(), with the oracle verdicts forced both ways.
 """
 
 import random
@@ -21,7 +23,7 @@ from itertools import combinations
 
 import pytest
 
-from quadtour import domination
+from quadtour import cli, domination
 from quadtour.core import Tournament, disjoint_pairs, dual, induced, validate
 from quadtour.domination import (
     _exceeds_two,
@@ -53,7 +55,7 @@ from quadtour.orthogonality import (
     quadrangularity,
 )
 from quadtour.symbols import family_symbol
-from quadtour.theorems import RULES, Facts, _without
+from quadtour.theorems import RULES, Facts, _without, verify_subtournament_degrees
 
 from helpers import (
     brute_bad_pair,
@@ -69,6 +71,7 @@ from helpers import (
     brute_out_quadrangular,
     brute_render,
     brute_row_pair,
+    brute_subtournament_degrees,
     brute_transpose,
     brute_witness,
 )
@@ -507,3 +510,19 @@ def test_rule_gamma_conditions_match_brute():
                     if cond.startswith("gamma("):
                         side = dual(rest) if cond.endswith("^r)>2") else rest
                         assert value == brute_gamma_exceeds(side, 2), (name, cond, t)
+
+
+def test_subtournament_degrees_match_induced_reference():
+    # Forcing each (out_quad, in_quad) pair runs both sides' scans on inputs
+    # the oracle rejects, which reaches their False verdicts.
+    verdicts = set()
+    for t in SMALL + cli._named_instances() + WIDE:
+        for out_quad in (True, False):
+            for in_quad in (True, False):
+                f = Facts(t)
+                f.out_quad, f.in_quad = out_quad, in_quad
+                verdict = verify_subtournament_degrees(t, f)
+                assert verdict == brute_subtournament_degrees(t, f), (t, out_quad, in_quad)
+                verdicts.add((out_quad, in_quad, verdict))
+    assert verdicts == {(o, i, v) for o in (True, False) for i in (True, False)
+                        for v in (True, False)} - {(False, False, False)}

@@ -1,6 +1,7 @@
 """Tests for combinatorial orthogonality and quadrangularity predicates."""
 
 import random
+import re
 
 import pytest
 
@@ -67,6 +68,28 @@ class TestPatternOf:
         with pytest.raises(DimensionMismatch,
                            match=rf"^row {bad} has {length} entries, row 0 has {width}$"):
             pattern_of(matrix)
+
+
+class TestBinaryPattern:
+    @pytest.mark.parametrize("rows, cols, bits, message", [
+        (2, 2, (0b111, 0b001), "row 0 has bits outside 2 columns"),
+        (2, 2, (0b01, 0b100), "row 1 has bits outside 2 columns"),
+        (2, 2, (-1, 1), "row 0 has bits outside 2 columns"),
+        (3, 2, (1, 2), "2 rows of bits for a 3x2 pattern"),
+        (-1, 2, (), "0 rows of bits for a -1x2 pattern"),
+        (0, -1, (), "0 rows of bits for a 0x-1 pattern"),
+    ])
+    def test_bits_must_fit(self, rows, cols, bits, message):
+        # Unchecked, the first transposed to (3, 3) and the second to three
+        # columns of a 2-row pattern; the third raised a bare ValueError.
+        with pytest.raises(DimensionMismatch, match=rf"^{re.escape(message)}$"):
+            BinaryPattern(rows, cols, bits)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_transpose(self, rows, cols):
+        p = BinaryPattern(rows, cols, (0,) * rows)
+        assert p.transpose() == BinaryPattern(cols, rows, (0,) * cols)
+        assert p.transpose().transpose() == p
 
 
 class TestCombRowOrthogonal:

@@ -43,9 +43,8 @@ def bit_strings(n: int, rows: Sequence[int]) -> list:
 def columns(n: int, rows: Sequence[int]) -> list:
     """The n column bitmasks of an n-wide 0/1 matrix: bit r of column c is entry (r, c).
 
-    Rows are joined MSB-first, last row first, so every n-th character from
-    index n-1-c is column c read from its highest bit down.  With no rows
-    every slice is empty and every column 0.
+    Rows are joined MSB-first, last row first, so every n-th character from index
+    n-1-c is column c read from its highest bit down (none, so 0, if no rows).
     """
     fmt = f"0{n}b"
     whole = "".join([format(row, fmt) for row in reversed(rows)])

@@ -24,7 +24,6 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .core import (
     Tournament,
     disjoint_pairs,
-    dual,
     induced,
     is_isomorphic,
     iter_bits,
@@ -258,18 +257,25 @@ def verify_degree_lemmas(t: Tournament, facts: Optional[Facts] = None) -> bool:
 def verify_subtournament_degrees(t: Tournament, facts: Optional[Facts] = None) -> bool:
     """Outset/inset sub-tournament degree facts and the min-degree-4 corollaries.
 
-    On the out-rows if T is out-quadrangular, on the in-rows (the dual's
-    out-rows) if in-quadrangular: w in s = rows[v] has degree |rows[w] & s| in
-    T[s], never 1, and the least degree is not 2 or 3.  Each unordered pair
-    {v, w} is met exactly once, as w in O(v) or as v in O(w), so this is an
-    independent second scan of every pair against the oracle.  The two-sided
-    corollary follows; every statement holds vacuously if its hypothesis fails.
+    No vertex of T[O(v)] has out-degree 1 if T is out-quadrangular, none of T[I(v)]
+    in-degree 1 if in-quadrangular.  The corollaries follow: if |O(v)| is 2 or 3, T[O(v)]
+    is an arc, a 3-cycle or a transitive triple, each with a vertex of out-degree 1; dually.
+    All statements are implications and hold vacuously when their hypotheses fail.
     """
     f = Facts(t) if facts is None else facts
-    for rows in (f.out_quad and t.rows, f.in_quad and dual(t).rows):
-        if rows and (any((rows[w] & s).bit_count() == 1 for s in rows for w in iter_bits(s))
-                     or 2 <= min(map(int.bit_count, rows)) < 4):
-            return False
+    sides = (
+        (f.out_quad, t.out_mask, Tournament.out_degree),
+        (f.in_quad, t.in_mask, Tournament.in_degree),
+    )
+    for quad, mask, degree in sides:
+        if not quad:
+            continue
+        for v in range(t.n):
+            if not mask(v):
+                continue
+            sub = induced(t, iter_bits(mask(v)))
+            if any(degree(sub, w) == 1 for w in range(sub.n)):
+                return False
     return True
 
 

@@ -2,7 +2,7 @@
 
 from itertools import combinations
 
-from quadtour.core import Tournament, induced, iter_bits, validate
+from quadtour.core import Tournament, iter_bits, validate
 from quadtour.generators import Symbol
 
 
@@ -255,23 +255,14 @@ def brute_induced(t: Tournament, keep) -> Tournament:
 
 
 def brute_subtournament_degrees(t: Tournament, f) -> bool:
-    """verify_subtournament_degrees read off one induced sub-tournament per
-    outset (when f.out_quad) and per inset (when f.in_quad); f is a Facts(t),
-    possibly with forced verdicts."""
-    sides = (
-        (f.out_quad, t.out_mask, Tournament.out_degree, min(f.scores)),
-        (f.in_quad, t.in_mask, Tournament.in_degree, t.n - 1 - max(f.scores)),
-    )
-    for quad, mask, degree, min_degree in sides:
-        if not quad:
-            continue
-        for v in range(t.n):
-            if not mask(v):
-                continue
-            sub = induced(t, iter_bits(mask(v)))
-            if any(degree(sub, w) == 1 for w in range(sub.n)):
-                return False
-        if 2 <= min_degree < 4:
+    """verify_subtournament_degrees read off row intersections, with the
+    min-degree-4 corollaries checked as well: w in s = rows[v] has degree
+    |rows[w] & s| in T[s], on the out-rows when f.out_quad and on the in-rows
+    (the reversal's out-rows) when f.in_quad; f is a Facts(t), possibly with
+    forced verdicts."""
+    for quad, rows in ((f.out_quad, t.rows), (f.in_quad, [t.in_mask(v) for v in range(t.n)])):
+        if quad and (any((rows[w] & s).bit_count() == 1 for s in rows for w in iter_bits(s))
+                     or 2 <= min(r.bit_count() for r in rows) < 4):
             return False
     return True
 

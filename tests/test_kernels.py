@@ -13,9 +13,10 @@ grown from QR_p by twin vertices, and relabelled QR_23, QR_31 and QR_43.
 DOT export is compared arc by arc on every input.  The theorem layer's
 vertex deletion and its reversed-side domination test are checked against
 induced() and against the reversal itself, on cores whose domination number
-differs from their reversal's.  The outset/inset degree verifier, which reads
-sub-tournament degrees off row intersections, is compared with one that builds
-each sub-tournament by induced(), with the oracle verdicts forced both ways.
+differs from their reversal's.  The outset/inset degree verifier, which builds
+each sub-tournament by induced(), is compared with one that reads its degrees
+off row intersections and also checks the min-degree-4 corollaries, with the
+oracle verdicts forced both ways.
 """
 
 import random
@@ -512,7 +513,7 @@ def test_rule_gamma_conditions_match_brute():
                         assert value == brute_gamma_exceeds(side, 2), (name, cond, t)
 
 
-def test_subtournament_degrees_match_induced_reference():
+def test_subtournament_degrees_match_row_reference():
     # Forcing each (out_quad, in_quad) pair runs both sides' scans on inputs
     # the oracle rejects, which reaches their False verdicts.
     verdicts = set()

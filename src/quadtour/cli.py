@@ -214,7 +214,7 @@ def cmd_search(args) -> int:
     _emit(args, report,
           chain([f"examined {res.examined} symbols, {len(res.hits)} hits"],
                 (f"  {list(h)}" for h in res.hits)))
-    return 0
+    return 0 if res.hits else 1
 
 
 # --- verify ------------------------------------------------------------

@@ -12,7 +12,9 @@ tournament: the O(n) facts are computed when it is built, the costlier ones on
 first use.  Build it per instance, pass it to classify and every verifier, and
 drop it with the instance.  Called without one, classify and each verifier
 build their own.  A condition on the reversal (T - S)^r of rest = T - S reads
-rest's out-rows as the reversal's in-rows, so it builds no dual.
+rest's out-rows as the reversal's in-rows, so it builds no dual.  RULES lists
+only conditions that can decide a verdict: one that follows from the others of
+its rule is proved in the docstring of the rule's conditions and not evaluated.
 """
 
 from __future__ import annotations
@@ -114,17 +116,24 @@ def _transmitter_receiver_conditions(f: Facts, _):
 
 
 def _transmitter_only_conditions(f: Facts, _):
+    """min-outdeg(R) >= 2 for R = T - s follows and is not evaluated.  A vertex
+    of out-degree 0 in R is a receiver of T, which the hypothesis excludes.  If
+    w -> y is w's only arc in R and R is out-quadrangular, y beats every u other
+    than w (if u -> y, then u and w share exactly the out-neighbour y), so
+    {w, y} dominates R and gamma(R) <= 2."""
     rest = _without(f.t, (f.special.transmitter,))
     yield "gamma(T-s)>2", gamma_exceeds(rest, 2)
     yield "T-s out-quadrangular", is_out_quadrangular(rest)
-    yield "min-outdeg(T-s)>=2", rest.min_out_degree() >= 2
 
 
 def _receiver_only_conditions(f: Facts, _):
+    """min-indeg(R) >= 2 for R = T - t follows and is not evaluated: dually to
+    the transmitter-only rule, a vertex of in-degree 0 in R is a transmitter of
+    T, and if y -> w is w's only in-arc in an in-quadrangular R, every other
+    vertex beats y, so {w, y} dominates R^r and gamma(R^r) <= 2."""
     rest = _without(f.t, (f.special.receiver,))
     yield "gamma((T-t)^r)>2", _exceeds_two(rest.rows)
     yield "T-t in-quadrangular", is_in_quadrangular(rest)
-    yield "min-indeg(T-t)>=2", rest.min_in_degree() >= 2
 
 
 def _not_strong_conditions(f: Facts, _):
@@ -137,14 +146,19 @@ def _not_strong_conditions(f: Facts, _):
 
 
 def _degree_one_conditions(f: Facts, x: int, side: str):
-    """Conditions for a vertex x of out-degree 1 (side "O") or in-degree 1 ("I")."""
+    """Conditions for a vertex x of out-degree 1 (side "O") or in-degree 1 ("I").
+
+    With R = T - {x, y}, min-outdeg(R) >= 2 follows from gamma(R^r) > 2 and is
+    not evaluated.  A vertex of out-degree 0 in R is a transmitter of R^r.  If
+    w -> z is w's only arc in R, then {w, u} dominates R^r for any u with
+    z -> u in R; if there is no such u, z is a receiver of R.  Either way
+    gamma(R^r) <= 2.  Dually, gamma(R) > 2 implies min-indeg(R) >= 2.
+    """
     y, forced = _lone_neighbour(f.t, x, side)
     yield f"{side}(y)=T-{{x,y}}", forced
     rest = _without(f.t, (x, y))
     yield "gamma(T-{x,y})>2", gamma_exceeds(rest, 2)
     yield "gamma((T-{x,y})^r)>2", _exceeds_two(rest.rows)
-    yield "min-outdeg(T-{x,y})>=2", rest.min_out_degree() >= 2
-    yield "min-indeg(T-{x,y})>=2", rest.min_in_degree() >= 2
 
 
 def _regular_conditions(f: Facts, _):
@@ -255,11 +269,12 @@ def verify_degree_lemmas(t: Tournament, facts: Optional[Facts] = None) -> bool:
 
 
 def verify_subtournament_degrees(t: Tournament, facts: Optional[Facts] = None) -> bool:
-    """Outset/inset sub-tournament degree facts and the min-degree-4 corollaries.
+    """Outset/inset sub-tournament degree facts, which imply the min-degree-4 corollaries.
 
     No vertex of T[O(v)] has out-degree 1 if T is out-quadrangular, none of T[I(v)]
-    in-degree 1 if in-quadrangular.  The corollaries follow: if |O(v)| is 2 or 3, T[O(v)]
-    is an arc, a 3-cycle or a transitive triple, each with a vertex of out-degree 1; dually.
+    in-degree 1 if in-quadrangular.  The corollaries follow and are not evaluated: if
+    |O(v)| is 2 or 3, T[O(v)] is an arc, a 3-cycle or a transitive triple, each with a
+    vertex of out-degree 1; dually.
     All statements are implications and hold vacuously when their hypotheses fail.
     """
     f = Facts(t) if facts is None else facts

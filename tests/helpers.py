@@ -1,9 +1,18 @@
 """Shared constructions and brute-force oracles for the test suite."""
 
+import random
 from itertools import combinations
 
-from quadtour.core import Tournament, iter_bits, validate
-from quadtour.generators import Symbol
+from quadtour import cli
+from quadtour.core import Tournament, dual, iter_bits, validate
+from quadtour.generators import (
+    Symbol,
+    augment,
+    make_symbol,
+    quadratic_residue,
+    random_tournament,
+    rotational,
+)
 
 
 def three_cycle() -> Tournament:
@@ -18,6 +27,46 @@ def transitive_triple() -> Tournament:
 
 def single_arc() -> Tournament:
     return validate(2, [0b10, 0b00])
+
+
+def degree_one(r: Tournament, miss=None) -> Tournament:
+    """D(R): R plus y beating all of R and x beating only y, so x has out-degree 1
+    and O(y) = T - {x, y}.  With miss = v, y beats all of R but v, which beats y."""
+    n = r.n
+    rows = [row | 1 << (n + 1) for row in r.rows]
+    y_row = r.full_mask
+    if miss is not None:
+        rows[miss] |= 1 << n
+        y_row &= ~(1 << miss)
+    return Tournament(n + 2, rows + [y_row, 1 << n])
+
+
+def glue(a: Tournament, b: Tournament) -> Tournament:
+    """A => B: A on labels 0..a.n-1, B after it, every vertex of A beating every vertex of B."""
+    to_b = ((1 << b.n) - 1) << a.n
+    return Tournament(a.n + b.n, [row | to_b for row in a.rows] + [row << a.n for row in b.rows])
+
+
+def mutation_corpus() -> list:
+    """Instances on which each condition of RULES decides some verdict.
+
+    D(R) for R = QR_7 and rot11, their reversals, rot11 => rot11; near misses
+    D(R) with y missing one vertex (each in turn), D(QR_7) => rot11 and its
+    reversal; seeded cores R = random_tournament(k, seed), 7 <= k <= 30, 40
+    seeds each, wrapped as R + s + t, R + s, R + t, D(R) and D(R)^r, and 150
+    seeded glues of two cores; cli._named_instances(), QR_19 and QR_23.
+    """
+    qr7, rot11 = quadratic_residue(7), rotational(make_symbol(11, {1, 3, 4, 5, 9}))
+    d7, d11, d7_rot11 = degree_one(qr7), degree_one(rot11), glue(degree_one(qr7), rot11)
+    out = [d7, d11, dual(d7), dual(d11), glue(rot11, rot11), d7_rot11, dual(d7_rot11)]
+    out += [degree_one(r, v) for r in (qr7, rot11) for v in range(r.n)]
+    cores = [random_tournament(k, seed) for k in range(7, 31) for seed in range(40)]
+    for r in cores:
+        out += [augment(r, True, True), augment(r, True, False), augment(r, False, True),
+                degree_one(r), dual(degree_one(r))]
+    rng = random.Random(16)
+    out += [glue(*rng.sample(cores, 2)) for _ in range(150)]
+    return out + cli._named_instances() + [quadratic_residue(19), quadratic_residue(23)]
 
 
 def brute_tournament(n: int, x: int) -> Tournament:

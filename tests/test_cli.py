@@ -165,6 +165,11 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["search", "--n", "9", "--first"])
         assert code == 1
 
+    def test_search_all_not_found_is_one(self, capsys):
+        assert run(capsys, ["search", "--n", "9", "--all"])[0] == 1
+        code, out, _ = run(capsys, ["search", "--n", "9", "--all", "--json"])
+        assert code == 1 and json.loads(out)["result"]["hit_count"] == 0
+
     def test_search_first_found(self, capsys):
         code, out, _ = run(capsys, ["search", "--n", "11", "--first", "--json"])
         assert code == 0

@@ -75,6 +75,7 @@ from helpers import (
     brute_subtournament_degrees,
     brute_transpose,
     brute_witness,
+    degree_one,
 )
 
 
@@ -447,17 +448,11 @@ def _asymmetric_cores():
     return cores
 
 
-def _degree_one(r: Tournament) -> Tournament:
-    """R plus y beating all of R and x beating only y: x has out-degree 1."""
-    n = r.n
-    return Tournament(n + 2, [row | 1 << (n + 1) for row in r.rows] + [r.full_mask, 1 << n])
-
-
 def _around_cores():
     rng = random.Random(404)
     out = []
     for r in _asymmetric_cores():
-        for t in (augment(r, 1, 1), augment(r, 1, 0), augment(r, 0, 1), _degree_one(r)):
+        for t in (augment(r, 1, 1), augment(r, 1, 0), augment(r, 0, 1), degree_one(r)):
             out += [t, dual(t), relabel(t, rng)]
     return out
 

@@ -3,6 +3,7 @@
 import collections
 import hashlib
 import json
+import operator
 
 import pytest
 
@@ -37,7 +38,13 @@ from quadtour.theorems import (
     verify_transmitter_receiver,
 )
 
-from helpers import brute_all_tournaments, single_arc, three_cycle, transitive_triple
+from helpers import (
+    brute_all_tournaments,
+    mutation_corpus,
+    single_arc,
+    three_cycle,
+    transitive_triple,
+)
 
 QR7 = quadratic_residue(7)
 ROT11 = rotational(make_symbol(11, {1, 3, 4, 5, 9}))
@@ -95,9 +102,9 @@ class TestClassify:
     def test_trace_lists_every_condition(self):
         # classify reports each condition of its rule even after one is
         # False; only the regular rule stops, once gamma >= 4 settles it.
-        counts = {"trivial-small": 1, "transmitter-receiver": 2, "transmitter-only": 3,
-                  "receiver-only": 3, "not-strong": 4, "out-degree-one": 5,
-                  "in-degree-one": 5, "direct-oracle": 1}
+        counts = {"trivial-small": 1, "transmitter-receiver": 2, "transmitter-only": 2,
+                  "receiver-only": 2, "not-strong": 4, "out-degree-one": 3,
+                  "in-degree-one": 3, "direct-oracle": 1}
         early_false = collections.Counter()
         for t in SWEEP_CORPUS:
             trace = classify(t)
@@ -229,9 +236,14 @@ class TestRegular:
         assert not out_rep.verdict and not in_rep.verdict
 
     def test_rot11_all_true(self):
-        assert verify_regular(ROT11)
-        out_rep, in_rep = quadrangularity(ROT11, "both")
-        assert out_rep.verdict and in_rep.verdict
+        qr19, qr23 = quadratic_residue(19), quadratic_residue(23)
+        for t in (ROT11, qr19, qr23):
+            assert verify_regular(t)
+            out_rep, in_rep = quadrangularity(t, "both")
+            assert out_rep.verdict and in_rep.verdict
+        # gamma >= 4 settles the regular rule on its own
+        for t in (qr19, qr23):
+            assert classify(t) == theorems.ClassificationTrace("regular", (("gamma>=4", True),), True)
 
     def test_not_regular(self):
         with pytest.raises(NotRegular):
@@ -387,6 +399,41 @@ def _flip_rule(monkeypatch, name, first):
         return [("flipped", verdict)]
 
     monkeypatch.setitem(theorems.RULES, name, rule._replace(conditions=flipped))
+
+
+# The rules with a verifier of their own, and that verifier.
+RULE_VERIFIERS = {name: fn for name, fn in SHARED_VERIFIERS.items() if name in theorems.RULES}
+
+
+def _mutant(rule, target, mutate):
+    """rule with the value of its condition target replaced by mutate(value);
+    the rule's own control flow is unchanged."""
+    def conditions(f, subject):
+        for name, value in rule.conditions(f, subject):
+            yield name, mutate(value) if name == target else value
+    return rule._replace(conditions=conditions)
+
+
+def test_every_condition_decides(monkeypatch):
+    # Each condition of each verified rule, negated or made neutral (the
+    # value that leaves combine's verdict to the others), must make the
+    # rule's verifier disagree with the oracle somewhere on the corpus.
+    corpus = [Facts(t) for t in mutation_corpus()]
+    survivors = []
+    for name, verifier in RULE_VERIFIERS.items():
+        rule = theorems.RULES[name]
+        cases = [f for f in corpus if rule.subjects(f)]
+        assert cases and all(verifier(f.t, f) for f in cases), name
+        conditions = dict.fromkeys(c for f in cases for s in rule.subjects(f)
+                                   for c, _ in rule.conditions(f, s))
+        neutral = rule.combine(())
+        for condition in conditions:
+            for kind, mutate in (("negated", operator.not_), ("neutral", lambda _: neutral)):
+                with monkeypatch.context() as m:
+                    m.setitem(theorems.RULES, name, _mutant(rule, condition, mutate))
+                    if all(verifier(f.t, f) for f in cases):
+                        survivors.append((name, condition, kind))
+    assert not survivors
 
 
 def test_golden_sweep(capsys):

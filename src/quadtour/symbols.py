@@ -8,6 +8,11 @@ That number of 2-subsets is |S & (S + m)|: for odd n, m and -m differ, so
 each 2-subset {i, j} with i - j = +-m has exactly one member x with
 x + m in S.  With S as an n-bit mask, S + m is the mask rotated left by m,
 so each residue costs one shift, one AND and one popcount.
+
+Symbols on odd n are enumerated in product order over the pairs
+(i, n - i), i = 1..(n-1)/2: the pair for i = 1 varies slowest and i comes
+before n - i.  The index ranges that search splits among its workers are
+positions in that order.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, product, repeat
 from typing import Iterator, Optional, Tuple
 
 from .errors import EvenOrTooSmall, SizeLimitExceeded, TooSmall, WrongResidueClass
@@ -47,29 +52,26 @@ def symbol_criterion(sym: Symbol) -> Tuple[bool, Optional[int]]:
 
 
 def enumerate_symbols(n: int) -> Iterator[Symbol]:
-    """All 2^((n-1)/2) symbols on odd n, one binary choice per pair {i, n-i}.
+    """All 2^((n-1)/2) symbols on odd n, one choice per pair (i, n - i).
 
-    Lexicographic in the choice vector: bit 0 picks i for the pair, bit 1
-    picks n-i, with the pair for i=1 varying slowest.
+    Product order over the pairs: the pair for i = 1 varies slowest, and
+    i comes before n - i.
     """
     if n % 2 == 0 or n < 3:
         raise EvenOrTooSmall(f"need odd n >= 3, got {n}")
-    k = (n - 1) // 2
-    for idx in range(1 << k):
-        yield _symbol_at(n, idx)
+    for members in _choices(n):
+        yield Symbol(n, frozenset(members))
 
 
-def _symbol_at(n: int, idx: int) -> Symbol:
-    k = (n - 1) // 2
-    return Symbol(n, frozenset([n - i if (idx >> (k - i)) & 1 else i for i in range(1, k + 1)]))
+def _choices(n: int) -> Iterator[tuple]:
+    return product(*[(i, n - i) for i in range(1, (n - 1) // 2 + 1)])
 
 
 def _hits(n: int, start: int, stop: int) -> Iterator[Tuple[int, tuple]]:
     """(idx, sorted members) of each symbol in [start, stop) meeting the criterion."""
-    for idx in range(start, stop):
-        sym = _symbol_at(n, idx)
-        if symbol_criterion(sym)[0]:
-            yield idx, sym.sorted_members()
+    for idx, members in enumerate(islice(_choices(n), start, stop), start):
+        if symbol_criterion(Symbol(n, frozenset(members)))[0]:
+            yield idx, tuple(sorted(members))
 
 
 def _scan_range(n: int, start: int, stop: int) -> list:
@@ -100,7 +102,8 @@ def search(n: int, *, threads: int = 1) -> SearchResult:
 
     The choice space is split into contiguous index ranges, one per worker,
     and the hit lists are concatenated in range order, so the output is
-    identical for any thread count.  At most os.cpu_count() workers start.
+    identical for any thread count.  At most one worker starts per CPU this
+    process may use (os.sched_getaffinity, else os.cpu_count()).
     """
     if n % 2 == 0 or n <= 3:
         raise EvenOrTooSmall(f"need odd n > 3, got {n}")
@@ -110,7 +113,10 @@ def search(n: int, *, threads: int = 1) -> SearchResult:
         raise TooSmall(f"need threads >= 1, got {threads}")
     k = (n - 1) // 2
     total = 1 << k
-    workers = min(threads, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        workers = min(threads, len(os.sched_getaffinity(0)))
+    else:
+        workers = min(threads, os.cpu_count() or 1)
     started = time.perf_counter()
     if workers == 1 or total < 1024:
         hits = _scan_range(n, 0, total)

@@ -116,13 +116,14 @@ class TestEnumerateSymbols:
 
     def test_matches_pair_by_pair_builder(self):
         for n in range(3, 16, 2):
-            for idx in range(1 << ((n - 1) // 2)):
-                assert symbols._symbol_at(n, idx) == brute_symbol_at(n, idx)
+            expected = [brute_symbol_at(n, idx) for idx in range(1 << ((n - 1) // 2))]
+            assert list(enumerate_symbols(n)) == expected
 
 
 def serial_pool(monkeypatch, cpus):
-    """Run search's process pool in process on a pretend CPU count; returns
-    the lists of pool sizes started and of (n, start, stop) ranges mapped."""
+    """Run search's process pool in process on a pretend count of usable
+    CPUs; returns the lists of pool sizes started and of (n, start, stop)
+    ranges mapped."""
     started, ranges = [], []
 
     class SerialPool:
@@ -140,7 +141,7 @@ def serial_pool(monkeypatch, cpus):
             return [fn(*args) for args in ranges]
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(symbols.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(symbols.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     return started, ranges
 
 
@@ -171,10 +172,22 @@ class TestSearch:
         par = search(13, threads=2)
         assert seq.hits == par.hits and seq.examined == par.examined
 
+    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+        # a cpuset of 2 CPUs on a 64-CPU machine starts 2 workers, not 64
+        serial = search(23).hits
+        started, ranges = serial_pool(monkeypatch, 2)
+        monkeypatch.setattr(symbols.os, "cpu_count", lambda: 64)
+        assert search(23, threads=10**6).hits == serial
+        assert started == [2]
+        assert ranges == [(23, 0, 1024), (23, 1024, 2048)]
+
     @pytest.mark.parametrize("cpus", [4, None])
     def test_workers_capped_at_cpu_count(self, monkeypatch, cpus):
+        # without os.sched_getaffinity, os.cpu_count() caps the pool
         serial = search(23).hits
-        started, ranges = serial_pool(monkeypatch, cpus)
+        started, ranges = serial_pool(monkeypatch, 1)
+        monkeypatch.delattr(symbols.os, "sched_getaffinity")
+        monkeypatch.setattr(symbols.os, "cpu_count", lambda: cpus)
         assert search(23, threads=10**6).hits == serial
         if cpus:
             assert started == [4]
@@ -182,14 +195,31 @@ class TestSearch:
         else:  # no CPU count: one in-process worker
             assert started == ranges == []
 
-    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("cpus", [1, 3, 4])
     def test_golden_hits_23(self, monkeypatch, cpus):
-        # cpus=1 scans in process; cpus=4 splits into four ranges
+        # cpus=1 scans in process; cpus=3 splits at 683 and 1366, off every
+        # power of two; cpus=4 splits into four ranges
         started, _ = serial_pool(monkeypatch, cpus)
         hits = search(23, threads=4).hits
         digest = hashlib.sha256(json.dumps([list(h) for h in hits]).encode()).hexdigest()
         assert (len(hits), digest) == GOLDEN_23
-        assert started == ([4] if cpus == 4 else [])
+        assert started == ([] if cpus == 1 else [cpus])
+
+    @pytest.mark.parametrize("n", [13, 17, 23])
+    def test_uneven_ranges_join_to_serial_hits(self, monkeypatch, n):
+        # search's split: contiguous ranges of ceil(total / workers) indices,
+        # most of which start off a power of two
+        total = 1 << ((n - 1) // 2)
+        serial = search(n).hits
+        for workers in range(1, 8):
+            starts = range(0, total, -(-total // workers))
+            split = [(n, a, b) for a, b in zip(starts, [*starts[1:], total])]
+            joined = [h for _, a, b in split for h in symbols._scan_range(n, a, b)]
+            assert tuple(joined) == serial
+            if total >= 1024 and workers > 1:
+                _, ranges = serial_pool(monkeypatch, workers)
+                assert search(n, threads=workers).hits == serial
+                assert ranges == split
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_threads_below_one_rejected(self, threads):
@@ -209,6 +239,14 @@ class TestFirstHit:
     def test_found_and_not_found(self):
         assert first_hit(9) == (None, 16)
         assert first_hit(11) == ((1, 3, 4, 5, 9), 9)
+        # pinned up to the search cap: no hit below 11; from 13 on, symbol
+        # number 2 hits: 1..k-2, then n-(k-1) and k for the last two pairs
+        for n in range(5, 32, 2):
+            k = (n - 1) // 2
+            if n <= 9:
+                assert first_hit(n) == (None, 1 << k)
+            elif n >= 13:
+                assert first_hit(n) == ((*range(1, k - 1), k, n - k + 1), 3)
 
     @pytest.mark.parametrize("n", [10, 1, -3])
     def test_even_or_too_small_rejected(self, n):

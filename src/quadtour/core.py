@@ -10,7 +10,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from itertools import compress, repeat
+from operator import itemgetter, or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -24,6 +26,11 @@ from .errors import (
 )
 
 ISOMORPHISM_MAX_N = 12
+
+_PLAIN_ROWS = 30  # pair scans of at most this many rows keep a plain loop,
+_PLAIN_BITS = 60  # and so do scans of rows no wider than this
+_SCREEN = 64  # screen columns of a wide pair scan, spread evenly over its width
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' text as compress() selectors
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -40,28 +47,106 @@ def bit_strings(n: int, rows: Sequence[int]) -> list:
     return [format(row, fmt)[::-1] for row in rows]
 
 
-def columns(n: int, rows: Sequence[int]) -> list:
-    """The n column bitmasks of an n-wide 0/1 matrix: bit r of column c is entry (r, c).
+def columns(n: int, rows: Sequence[int], picks: Optional[Sequence[int]] = None) -> list:
+    """The n column bitmasks of an n-wide 0/1 matrix, or only those listed in
+    picks: bit r of column c is entry (r, c).
 
     Rows are joined MSB-first, last row first, so every n-th character from index
     n-1-c is column c read from its highest bit down (none, so 0, if no rows).
     """
     fmt = f"0{n}b"
     whole = "".join([format(row, fmt) for row in reversed(rows)])
-    return [int(whole[i::n] or "0", 2) for i in range(n - 1, -1, -1)]
+    return [int(whole[n - 1 - c::n] or "0", 2) for c in (range(n) if picks is None else picks)]
 
 
 def disjoint_pairs(rows: Sequence[int]) -> Iterator[tuple]:
-    """Yield each pair u < v whose rows share no bit, in lexicographic order.
+    """Each pair u < v whose rows share no bit, lazily, in lexicographic order.
 
     On a tournament's in-rows these are its dominant pairs (no vertex beats
-    both); on its out-rows, the pairs with no common out-neighbour.
+    both); on its out-rows, the pairs with no common out-neighbour.  Scans of
+    more than _PLAIN_ROWS rows wider than _PLAIN_BITS bits run the screened
+    kernel _pairs_sharing(rows, 0), returned rather than delegated to so that
+    a pair costs one generator step; the others a plain loop.
     """
+    if len(rows) > _PLAIN_ROWS and max(rows) >> _PLAIN_BITS:
+        return _pairs_sharing(rows, 0)
+    return _disjoint_in_order(rows)
+
+
+def _disjoint_in_order(rows: Sequence[int]) -> Iterator[tuple]:
+    """disjoint_pairs' plain loop."""
     n = len(rows)
     for u, ru in enumerate(rows):
         for v in range(u + 1, n):
             if not ru & rows[v]:
                 yield u, v
+
+
+def _pairs_sharing(rows: Sequence[int], c: int) -> Iterator[tuple]:
+    """Yield each pair u < v whose rows share exactly c bits, for c in {0, 1},
+    in lexicographic order, as the plain loop does.
+
+    Each row tests the later rows that _unsettled leaves open, or all of
+    them in order when it gives None.
+    """
+    n = len(rows)
+    for u, (ru, left) in enumerate(zip(rows, _unsettled(rows, c))):
+        if left is None:
+            if c:
+                for v in range(u + 1, n):
+                    if (ru & rows[v]).bit_count() == 1:
+                        yield u, v
+            else:  # not x is cheaper than x.bit_count() == 0 on a sparse scan's many pairs
+                for v in range(u + 1, n):
+                    if not ru & rows[v]:
+                        yield u, v
+            continue
+        while left:
+            v = (left & -left).bit_length() - 1
+            if (ru & rows[v]).bit_count() == c:
+                yield u, v
+            left &= left - 1
+
+
+def _unsettled(rows: Sequence[int], c: int) -> Iterator[Optional[int]]:
+    """For each row in turn, the mask of later rows that the screen leaves
+    open, or None if that is over a quarter of them or if under a quarter of
+    all bits are set (few pairs of sparse rows share two screen columns, so
+    the screen would not pay).  Row 0 gets None before the screen is built,
+    so a pair found in row 0 costs no transpose.
+
+    The screen is _SCREEN columns spread evenly over the width (every column
+    of narrower rows), read once from the transpose.  A bit-sliced count over
+    the screen columns row u holds marks the rows meeting u in one of them
+    (ones) and in two or more (twos).  These share at least that many bits
+    with u, so for c = 1 only the rows outside twos stay open, and for c = 0
+    those outside ones.
+    """
+    yield None
+    n = len(rows)
+    width = max(rows).bit_length()
+    total = sum(map(int.bit_count, rows))
+    if not total or 4 * total < n * width:
+        yield from repeat(None, n - 1)
+        return
+    spots = sorted({i * width // _SCREEN for i in range(_SCREEN)})
+    screen = columns(width, rows, spots)
+    fmt = f"0{n}b"
+    # held[u][j] is 1 iff row u holds screen column j: one 0/1 byte per row.
+    held = zip(*[format(col, fmt)[::-1].encode().translate(_SELECTORS) for col in screen])
+    next(held)  # row 0 is tested in order
+    later = (1 << n) - 2  # the rows after row 0
+    for u, picks in enumerate(held, 1):
+        later &= later - 1
+        if c:
+            ones = twos = 0
+            for col in compress(screen, picks):
+                twos |= ones & col
+                ones |= col
+            left = later & ~twos
+        else:
+            left = later & ~reduce(or_, compress(screen, picks), 0)
+        yield left if 4 * left.bit_count() <= n - 1 - u else None
 
 
 class Tournament:

@@ -1,7 +1,8 @@
 """Matrix file format, DOT export and JSON adjacency payloads.
 
-Matrix files carry a decimal vertex count on the first line followed by n
-lines of exactly n '0'/'1' characters; row u column v is 1 iff u beats v.
+Matrix files carry a vertex count in ASCII decimal digits on the first line
+(after an optional UTF-8 BOM), followed by n lines of exactly n '0'/'1'
+characters; row u column v is 1 iff u beats v.
 DOT export builds one string per row: the row's bit string, translated to
 0/1 bytes, selects the arc heads from the vertex names, so no arc becomes a
 tuple or a formatted string of its own.
@@ -26,10 +27,11 @@ def parse_pattern(text: str) -> BinaryPattern:
     lines = text.splitlines()
     if not lines:
         raise MatrixParseError("empty input")
-    try:
-        n = int(lines[0].removeprefix("\ufeff"))
-    except ValueError:
-        raise MatrixParseError(f"bad header line {lines[0]!r}") from None
+    header = lines[0].removeprefix("\ufeff")
+    # int() alone would also take signs, spaces and non-ASCII digits.
+    if not (header.isascii() and header.isdigit()):
+        raise MatrixParseError(f"bad header line {lines[0]!r}")
+    n = int(header)
     if n < 1:
         raise MatrixParseError(f"bad vertex count {n}")
     body = lines[1:]
@@ -52,9 +54,6 @@ def parse_tournament(text: str) -> Tournament:
         raise MatrixParseError(f"not a tournament: {exc}") from exc
 
 
-_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def to_dot(t: Tournament) -> str:
     """DOT digraph with arcs in lexicographic order."""
     heads = [f"{v};\n" for v in range(t.n)]
@@ -62,7 +61,7 @@ def to_dot(t: Tournament) -> str:
     for u, bits in enumerate(core.bit_strings(t.n, t.rows)):
         if "1" in bits:
             tail = f"  {u} -> "
-            parts.append(tail + tail.join(compress(heads, bits.encode().translate(_SELECTORS))))
+            parts.append(tail + tail.join(compress(heads, bits.encode().translate(core._SELECTORS))))
     parts.append("}\n")
     return "".join(parts)
 

@@ -7,9 +7,13 @@ the pattern of a combinatorially orthogonal matrix is quadrangular:
 Both sides run one row-pair scan: the out side on the out-rows, the in side
 on the in-rows, i.e. the out-rows of the dual.  The is_* predicates only ask
 whether the scan finds a pair; quadrangularity() also reports the witness.
-The scan tests wide rows on their low word first: the common bits there are
-a subset of all common bits, so two of them rule the pair out, and only a
-pair with fewer needs the full-row AND.  Verdict and witness are unchanged.
+Scans of more than 30 rows wider than 60 bits run core's screened kernel:
+64 columns spread over the width are read once from the transpose, and for
+each row a bit-sliced count over the screen columns it holds marks the later
+rows that share two of them.  Those pairs share at least two bits, so only
+the unmarked ones need the full-row AND.  Sparse rows, where few pairs share
+two screen columns, are scanned in order.  Verdict and witness are the plain
+loop's.
 """
 
 from __future__ import annotations
@@ -17,11 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .core import Tournament, columns, dual, iter_bits
+from .core import _PLAIN_BITS, _PLAIN_ROWS, Tournament, _pairs_sharing, columns, dual, iter_bits
 from .errors import DimensionMismatch, InvalidSide, NotSquare
-
-_WORD_BITS = 30  # one CPython digit: the pair scan's first test reads these low bits
-_WORD = (1 << _WORD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -104,18 +105,13 @@ class QuadReport:
 def _first_pair(rows) -> Optional[Tuple[int, int]]:
     """Lexicographically smallest pair u < v whose rows share exactly one bit, or None.
 
-    Past _WORD_BITS rows, wide rows skip the full-row AND when their low
-    words share two bits: a subset of the common bits, so no witness.
+    Past _PLAIN_ROWS rows wider than _PLAIN_BITS bits, the first pair of
+    the screened kernel core._pairs_sharing(rows, 1): a pair whose rows share
+    two screen columns is settled without the full-row AND.
     """
     n = len(rows)
-    if n > _WORD_BITS and max(rows) > _WORD:
-        low = [row & _WORD for row in rows]
-        for u, ru in enumerate(rows):
-            lu = low[u]
-            for v in range(u + 1, n):
-                if (lu & low[v]).bit_count() < 2 and (ru & rows[v]).bit_count() == 1:
-                    return u, v
-        return None
+    if n > _PLAIN_ROWS and max(rows) >> _PLAIN_BITS:
+        return next(_pairs_sharing(rows, 1), None)
     for u, ru in enumerate(rows):
         for v in range(u + 1, n):
             if (ru & rows[v]).bit_count() == 1:

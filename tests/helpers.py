@@ -229,15 +229,20 @@ def brute_competition_edges(t: Tournament) -> set:
     }
 
 
-def brute_disjoint_pairs(rows) -> list:
-    """All index pairs i < j whose bitmasks share no set bit, lexicographic."""
+def brute_pairs_sharing(rows, c: int) -> list:
+    """All index pairs i < j whose bitmasks share exactly c set bits, lexicographic."""
     sets = [set(iter_bits(r)) for r in rows]
     return [
         (i, j)
         for i in range(len(rows))
         for j in range(i + 1, len(rows))
-        if not sets[i] & sets[j]
+        if len(sets[i] & sets[j]) == c
     ]
+
+
+def brute_disjoint_pairs(rows) -> list:
+    """All index pairs i < j whose bitmasks share no set bit, lexicographic."""
+    return brute_pairs_sharing(rows, 0)
 
 
 def brute_is_regular(t: Tournament) -> bool:

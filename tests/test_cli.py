@@ -121,6 +121,15 @@ class TestParseInput:
         with pytest.raises(MatrixParseError, match="body line 0"):
             parse_pattern(f"3\n{row}\n001\n100\n")
 
+    @pytest.mark.parametrize("header", [
+        "+3", " 3 ", "3 ", "-3", "0x3", "3_0", "\u0663", "\uff13",  # Arabic-Indic and full-width three
+        "\ufeff+3", "\ufeff\ufeff3",
+    ])
+    def test_header_outside_ascii_digits_rejected(self, header):
+        # int() alone would accept several of these.
+        with pytest.raises(MatrixParseError, match=rf"^bad header line {re.escape(repr(header))}$"):
+            parse_pattern(f"{header}\n010\n001\n100\n")
+
 
 class TestExitCodes:
     def test_check_true_is_zero(self, rot11_file, capsys):

@@ -3,13 +3,18 @@
 Inputs: every labelled tournament with n <= 6, seeded random tournaments
 with 7 <= n <= 40, and seeded relabellings of quadrangular rotational and
 quadratic-residue tournaments, so both verdicts of each scan are reached at
-sizes where a witness need not sit at the first pair.  The row-pair scan first
-tests rows wider than a machine word on their low word, so it gets its own
-inputs with 61 <= n <= 160 and patterns up to 200 columns wide, including
-rows whose low words are empty and hand-made pairs whose common bits sit
-on either side of the word boundary.  The gamma > 3 test reads each missed
-set a byte at a time, so it gets inputs whose n straddles 8, 16 and 24,
-grown from QR_p by twin vertices, and relabelled QR_23, QR_31 and QR_43.
+sizes where a witness need not sit at the first pair.  Past 30 rows wider
+than 60 bits, both row-pair scans (exactly one common bit, and none) run one
+kernel that settles most pairs by a count over 64 spread screen columns, so
+it gets its own inputs: tournaments with 61 <= n <= 160 and their duals,
+patterns up to 300 columns wide and 0.01 to 0.9 dense, rows with empty low
+words, unrelabelled glues, a transitive tournament, all-zero rows, rows
+holding fewer than two screen columns, and hand-made pairs whose common bits
+sit on and off the screen columns.  The wide tournaments and their duals
+also go through the dominant pairs, competition graph and gamma > 2 tests
+built on the no-common-bit scan.  The gamma > 3 test reads each missed set a
+byte at a time, so it gets inputs whose n straddles 8, 16 and 24, grown
+from QR_p by twin vertices, and relabelled QR_23, QR_31 and QR_43.
 DOT export is compared arc by arc on every input.  The theorem layer's
 vertex deletion and its reversed-side domination test are checked against
 induced() and against the reversal itself, on cores whose domination number
@@ -25,7 +30,16 @@ from itertools import combinations
 import pytest
 
 from quadtour import cli, domination
-from quadtour.core import Tournament, disjoint_pairs, dual, induced, validate
+from quadtour.core import (
+    _SCREEN,
+    Tournament,
+    _pairs_sharing,
+    _unsettled,
+    disjoint_pairs,
+    dual,
+    induced,
+    validate,
+)
 from quadtour.domination import (
     _exceeds_two,
     competition_graph,
@@ -46,7 +60,6 @@ from quadtour.generators import (
 )
 from quadtour.matrixio import parse_tournament, render_tournament, to_dot
 from quadtour.orthogonality import (
-    _WORD,
     BinaryPattern,
     closed_union_in_quad,
     comb_row_orthogonal,
@@ -70,6 +83,7 @@ from helpers import (
     brute_in_quadrangular,
     brute_induced,
     brute_out_quadrangular,
+    brute_pairs_sharing,
     brute_render,
     brute_row_pair,
     brute_subtournament_degrees,
@@ -77,6 +91,9 @@ from helpers import (
     brute_witness,
     degree_one,
 )
+
+
+_WORD = (1 << 30) - 1  # the low 30-bit word some wide inputs leave empty
 
 
 def relabel(t: Tournament, rng: random.Random) -> Tournament:
@@ -228,9 +245,17 @@ def test_wide_row_orthogonal_matches_brute():
         assert comb_row_orthogonal(BinaryPattern(rows, cols, bits)) == (want is None, want)
 
 
-HIGH = 1 << 100  # a column above the low word
+HIGH = 1 << 100  # a column above the low word, off the screen of a 200-wide scan
 
-# (row a, row b, a witness?): common bits on either side of the word boundary.
+
+def _screen_columns(width: int) -> list:
+    return sorted({i * width // _SCREEN for i in range(_SCREEN)})
+
+
+SCREEN_200 = _screen_columns(200)  # 0, 3, 6, 9, ..., 196: columns 1, 2 and 197 are off it
+
+# (row a, row b, a witness?): common bits on either side of the old 30-bit
+# word boundary, and on and off the screen columns of a 200-wide scan.
 HAND_PAIRS = [
     (HIGH | 0b0101, HIGH | 0b1010, True),  # the only common bit is above the word
     (HIGH | 1 << 5, HIGH | 1 << 5 | 1 << 7, False),  # one inside, one above
@@ -240,6 +265,12 @@ HAND_PAIRS = [
     (1 << 29 | HIGH, 1 << 29 | 1 << 28, True),  # the highest bit inside the word
     (0b11 | HIGH, 0b11, False),  # two inside
     (HIGH | HIGH << 1, HIGH | HIGH << 1, False),  # two above, empty low words
+    (1 << 3 | 1 << 196 | 1 << 2, 1 << 3 | 1 << 196 | 1 << 1, False),  # two on the screen
+    (1 << 3 | 1 << 1, 1 << 3 | 1 << 1, False),  # one on the screen, one off
+    (1 << 1 | 1 << 197, 1 << 1 | 1 << 197, False),  # two off the screen
+    (1 << 3 | 1 << 1, 1 << 3 | 1 << 2, True),  # the only common bit is on the screen
+    (1 << 197 | 1 << 3, 1 << 197 | 1 << 6, True),  # the only common bit is off it
+    (1 << 196 | 1 << 197, 1 << 197 | 1 << 199, True),  # off it, past the last screen column
 ]
 
 
@@ -260,6 +291,117 @@ def test_hand_made_pairs_across_the_word_boundary(a, b, witness):
     want = brute_row_pair(bits)
     assert want == ((40, 41) if witness else None)
     assert comb_row_orthogonal(BinaryPattern(42, 200, bits)) == (want is None, want)
+    # The dense rows make the scan 200 wide and screened, so the pair's
+    # screen columns are those of SCREEN_200.
+    assert max(bits).bit_length() == 200 and 4 * sum(r.bit_count() for r in bits) >= 42 * 200
+    assert list(disjoint_pairs(bits)) == brute_disjoint_pairs(bits)
+
+
+def _kernel_patterns():
+    """Seeded random patterns, 31 to 120 rows, 1 to 300 columns and densities
+    0.01 to 0.9, so the kernel screens some and scans the sparse or narrow
+    ones in order."""
+    rng = random.Random(64)
+    out = []
+    for _ in range(150):
+        rows, width, density = rng.randint(31, 120), rng.randint(1, 300), rng.uniform(0.01, 0.9)
+        out.append(tuple(sum(1 << c for c in range(width) if rng.random() < density)
+                         for _ in range(rows)))
+    return out
+
+
+KERNEL_PATTERNS = _kernel_patterns()
+
+
+def _screened(rows) -> bool:
+    width = max(rows).bit_length()
+    return width > 60 and 4 * sum(r.bit_count() for r in rows) >= len(rows) * width
+
+
+def _assert_kernel_matches_brute(rows):
+    disjoint, one = (brute_pairs_sharing(rows, c) for c in (0, 1))
+    assert list(_pairs_sharing(rows, 0)) == disjoint
+    assert list(_pairs_sharing(rows, 1)) == one
+    # The public scans, which take the kernel past 30 rows wider than 60 bits.
+    assert list(disjoint_pairs(rows)) == disjoint
+    want = one[0] if one else None
+    pattern = BinaryPattern(len(rows), max(rows).bit_length(), tuple(rows))
+    assert comb_row_orthogonal(pattern) == (want is None, want)
+
+
+def test_kernel_on_random_patterns_matches_brute():
+    screened = [rows for rows in KERNEL_PATTERNS if _screened(rows)]
+    assert 40 <= len(screened) <= len(KERNEL_PATTERNS) - 40
+    # Past row 0, which is always tested in order, some screened rows leave
+    # more than a quarter of the later rows open.
+    assert any(None in list(_unsettled(rows, 1))[1:-4] for rows in screened)
+    for rows in KERNEL_PATTERNS:
+        _assert_kernel_matches_brute(rows)
+
+
+def _transitive(n: int) -> Tournament:
+    full = (1 << n) - 1
+    return validate(n, [full & ~((2 << u) - 1) for u in range(n)])
+
+
+def test_kernel_on_glues_transitive_and_zero_rows():
+    # The glues are unrelabelled: their second copy's rows hold only high columns.
+    inputs = [_glue(rotational(family_symbol(n))) for n in (79, 151)] + [_transitive(100)]
+    rng = random.Random(0)
+    dense = [rng.getrandbits(150) | 1 << 149 for _ in range(50)]
+    rows_sets = [t.rows for t in inputs] + [dual(t).rows for t in inputs]
+    rows_sets += [(0,) * 40, tuple(0 if i % 7 == 0 else row for i, row in enumerate(dense))]
+    assert all(_screened(rows) for rows in rows_sets[:-2] + rows_sets[-1:])
+    for rows in rows_sets:
+        _assert_kernel_matches_brute(rows)
+    # In a transitive tournament O(v) is inside O(u) for u < v, so u's pairs
+    # with n - 2 share one out-neighbour and with n - 1 none.
+    n = 100
+    assert brute_pairs_sharing(inputs[-1].rows, 1) == [(u, n - 2) for u in range(n - 2)]
+
+
+def test_screen_settles_most_pairs_of_the_unrelabelled_glue():
+    # A window of low columns would mark nothing on the second copy, whose low
+    # columns are empty; spread columns settle both copies.
+    t = _glue(rotational(family_symbol(151)))
+    for rows in (t.rows, dual(t).rows):
+        n = len(rows)
+        for c in (0, 1):
+            lefts = list(_unsettled(rows, c))
+            open_pairs = sum(n - 1 - u if left is None else left.bit_count()
+                             for u, left in enumerate(lefts))
+            assert open_pairs < n * (n - 1) // 2 // 20, (c, open_pairs)
+
+
+def test_kernel_on_rows_holding_few_screen_columns():
+    rng = random.Random(2)
+    width = 200
+    off = [col for col in range(width) if col not in SCREEN_200]
+    rows = [rng.getrandbits(width) | 1 << (width - 1) for _ in range(50)]
+    rows[5] = sum(1 << col for col in rng.sample(off, 40))  # no screen column
+    rows[17] = sum(1 << col for col in rng.sample(off, 40)) | 1 << SCREEN_200[30]  # one
+    rows[49] = 1 << SCREEN_200[7]  # the last row, one screen column and nothing else
+    held = [sum(row >> col & 1 for col in SCREEN_200) for row in rows]
+    assert (held[5], held[17], held[49]) == (0, 1, 1) and _screened(rows)
+    _assert_kernel_matches_brute(rows)
+    # Row 17's off-screen columns with another screen column: no screen
+    # column in common with row 17, so only the full test sees the 40 shared bits.
+    rows[6] = rows[17] ^ 1 << SCREEN_200[30] ^ 1 << SCREEN_200[31]
+    _assert_kernel_matches_brute(rows)
+
+
+def test_wide_c0_scans_match_brute():
+    inputs = WIDE + [dual(t) for t in WIDE]
+    assert {bool(brute_dominant_pairs(t)) for t in inputs} == {True, False}
+    assert {brute_gamma_exceeds(t, 2) for t in inputs} == {True, False}
+    for t in inputs:
+        assert list(disjoint_pairs(t.rows)) == brute_disjoint_pairs(t.rows)
+        want = brute_dominant_pairs(t)
+        assert dominant_pairs(t) == tuple(want)
+        assert domination_graph(t).edges == frozenset(want)
+        assert competition_graph(t).edges == brute_competition_edges(t)
+        exceeds = brute_gamma_exceeds(t, 2)
+        assert gamma_exceeds(t, 2) == _exceeds_two(dual(t).rows) == exceeds, t
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

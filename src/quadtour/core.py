@@ -27,9 +27,8 @@ from .errors import (
 
 ISOMORPHISM_MAX_N = 12
 
-_PLAIN_ROWS = 30  # pair scans of at most this many rows keep a plain loop,
-_PLAIN_BITS = 60  # and so do scans of rows no wider than this
-_SCREEN = 64  # screen columns of a wide pair scan, spread evenly over its width
+_PLAIN_ROWS = 200  # pair scans of at most this many rows test every pair in order
+_SCREEN = 64  # screen columns of a longer pair scan, spread evenly over its width
 _SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' text as compress() selectors
 
 
@@ -60,75 +59,75 @@ def columns(n: int, rows: Sequence[int], picks: Optional[Sequence[int]] = None) 
 
 
 def disjoint_pairs(rows: Sequence[int]) -> Iterator[tuple]:
-    """Each pair u < v whose rows share no bit, lazily, in lexicographic order.
+    """Yield each pair u < v whose rows share no bit, in lexicographic order.
 
     On a tournament's in-rows these are its dominant pairs (no vertex beats
-    both); on its out-rows, the pairs with no common out-neighbour.  Scans of
-    more than _PLAIN_ROWS rows wider than _PLAIN_BITS bits run the screened
-    kernel _pairs_sharing(rows, 0), returned rather than delegated to so that
-    a pair costs one generator step; the others a plain loop.
-    """
-    if len(rows) > _PLAIN_ROWS and max(rows) >> _PLAIN_BITS:
-        return _pairs_sharing(rows, 0)
-    return _disjoint_in_order(rows)
-
-
-def _disjoint_in_order(rows: Sequence[int]) -> Iterator[tuple]:
-    """disjoint_pairs' plain loop."""
-    n = len(rows)
-    for u, ru in enumerate(rows):
-        for v in range(u + 1, n):
-            if not ru & rows[v]:
-                yield u, v
-
-
-def _pairs_sharing(rows: Sequence[int], c: int) -> Iterator[tuple]:
-    """Yield each pair u < v whose rows share exactly c bits, for c in {0, 1},
-    in lexicographic order, as the plain loop does.
-
-    Each row tests the later rows that _unsettled leaves open, or all of
-    them in order when it gives None.
+    both); on its out-rows, the pairs with no common out-neighbour.  Row u
+    tests the later rows that _unsettled(rows, 0) leaves open.
     """
     n = len(rows)
-    for u, (ru, left) in enumerate(zip(rows, _unsettled(rows, c))):
+    for u, left in enumerate(_unsettled(rows, 0)):
+        ru = rows[u]
         if left is None:
-            if c:
-                for v in range(u + 1, n):
-                    if (ru & rows[v]).bit_count() == 1:
-                        yield u, v
-            else:  # not x is cheaper than x.bit_count() == 0 on a sparse scan's many pairs
-                for v in range(u + 1, n):
-                    if not ru & rows[v]:
-                        yield u, v
+            for v in range(u + 1, n):
+                if not ru & rows[v]:
+                    yield u, v
             continue
         while left:
             v = (left & -left).bit_length() - 1
-            if (ru & rows[v]).bit_count() == c:
+            if not ru & rows[v]:
                 yield u, v
             left &= left - 1
 
 
+def first_pair_sharing_one(rows: Sequence[int]) -> Optional[tuple]:
+    """Lexicographically smallest pair u < v whose rows share exactly one bit,
+    or None.  Row u tests the later rows that _unsettled(rows, 1) leaves open."""
+    n = len(rows)
+    for u, left in enumerate(_unsettled(rows, 1)):
+        ru = rows[u]
+        if left is None:
+            for v in range(u + 1, n):
+                if (ru & rows[v]).bit_count() == 1:
+                    return u, v
+            continue
+        while left:
+            v = (left & -left).bit_length() - 1
+            if (ru & rows[v]).bit_count() == 1:
+                return u, v
+            left &= left - 1
+    return None
+
+
 def _unsettled(rows: Sequence[int], c: int) -> Iterator[Optional[int]]:
+    """For each row in turn, the mask of later rows that may share exactly c
+    bits with it (c in {0, 1}), or None to test every later row in order.
+
+    Scans of at most _PLAIN_ROWS rows get None throughout: below about 200
+    rows a row's screen costs more than the tests it saves.  Longer scans
+    are screened by _screen.
+    """
+    n = len(rows)
+    if n > _PLAIN_ROWS:
+        return _screen(rows, c)
+    return repeat(None, n)
+
+
+def _screen(rows: Sequence[int], c: int) -> Iterator[Optional[int]]:
     """For each row in turn, the mask of later rows that the screen leaves
-    open, or None if that is over a quarter of them or if under a quarter of
-    all bits are set (few pairs of sparse rows share two screen columns, so
-    the screen would not pay).  Row 0 gets None before the screen is built,
-    so a pair found in row 0 costs no transpose.
+    open, or None if that is over a quarter of them.  Row 0 gets None before
+    the screen is built, so a pair found in row 0 costs no transpose.
 
     The screen is _SCREEN columns spread evenly over the width (every column
-    of narrower rows), read once from the transpose.  A bit-sliced count over
-    the screen columns row u holds marks the rows meeting u in one of them
-    (ones) and in two or more (twos).  These share at least that many bits
-    with u, so for c = 1 only the rows outside twos stay open, and for c = 0
-    those outside ones.
+    of narrower rows; all-zero rows read as one empty column), read once
+    from the transpose.  A bit-sliced count over the screen columns row u
+    holds marks the rows meeting u in one of them (ones) and in two or more
+    (twos).  These share at least that many bits with u, so for c = 1 only
+    the rows outside twos stay open, and for c = 0 those outside ones.
     """
     yield None
     n = len(rows)
-    width = max(rows).bit_length()
-    total = sum(map(int.bit_count, rows))
-    if not total or 4 * total < n * width:
-        yield from repeat(None, n - 1)
-        return
+    width = max(rows).bit_length() or 1
     spots = sorted({i * width // _SCREEN for i in range(_SCREEN)})
     screen = columns(width, rows, spots)
     fmt = f"0{n}b"

@@ -7,13 +7,13 @@ the pattern of a combinatorially orthogonal matrix is quadrangular:
 Both sides run one row-pair scan: the out side on the out-rows, the in side
 on the in-rows, i.e. the out-rows of the dual.  The is_* predicates only ask
 whether the scan finds a pair; quadrangularity() also reports the witness.
-Scans of more than 30 rows wider than 60 bits run core's screened kernel:
+The scan is core.first_pair_sharing_one.  Past 200 rows it is screened:
 64 columns spread over the width are read once from the transpose, and for
 each row a bit-sliced count over the screen columns it holds marks the later
 rows that share two of them.  Those pairs share at least two bits, so only
-the unmarked ones need the full-row AND.  Sparse rows, where few pairs share
-two screen columns, are scanned in order.  Verdict and witness are the plain
-loop's.
+the unmarked ones need the full-row AND; a row whose screen leaves over a
+quarter of the later rows open tests them all in order.  Verdict and
+witness are those of the in-order scan.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .core import _PLAIN_BITS, _PLAIN_ROWS, Tournament, _pairs_sharing, columns, dual, iter_bits
+from .core import Tournament, columns, dual, first_pair_sharing_one, iter_bits
 from .errors import DimensionMismatch, InvalidSide, NotSquare
 
 
@@ -68,7 +68,7 @@ def comb_row_orthogonal(p: BinaryPattern) -> Tuple[bool, Optional[Tuple[int, int
 
     On failure returns the lexicographically smallest offending row pair.
     """
-    pair = _first_pair(p.bits)
+    pair = first_pair_sharing_one(p.bits)
     return pair is None, pair
 
 
@@ -102,23 +102,6 @@ class QuadReport:
     witness: Optional[Witness]
 
 
-def _first_pair(rows) -> Optional[Tuple[int, int]]:
-    """Lexicographically smallest pair u < v whose rows share exactly one bit, or None.
-
-    Past _PLAIN_ROWS rows wider than _PLAIN_BITS bits, the first pair of
-    the screened kernel core._pairs_sharing(rows, 1): a pair whose rows share
-    two screen columns is settled without the full-row AND.
-    """
-    n = len(rows)
-    if n > _PLAIN_ROWS and max(rows) >> _PLAIN_BITS:
-        return next(_pairs_sharing(rows, 1), None)
-    for u, ru in enumerate(rows):
-        for v in range(u + 1, n):
-            if (ru & rows[v]).bit_count() == 1:
-                return u, v
-    return None
-
-
 def _scan_side(t: Tournament, side: str) -> QuadReport:
     """Scan every pair's common out- or in-neighbourhood for size exactly 1.
 
@@ -126,7 +109,7 @@ def _scan_side(t: Tournament, side: str) -> QuadReport:
     of the dual); the witness's common set is the two rows' intersection.
     """
     rows = t.rows if side == "out" else dual(t).rows
-    pair = _first_pair(rows)
+    pair = first_pair_sharing_one(rows)
     if pair is None:
         return QuadReport(True, side, None)
     u, v = pair
@@ -143,11 +126,11 @@ def quadrangularity(t: Tournament, side: str = "both"):
 
 
 def is_out_quadrangular(t: Tournament) -> bool:
-    return _first_pair(t.rows) is None
+    return first_pair_sharing_one(t.rows) is None
 
 
 def is_in_quadrangular(t: Tournament) -> bool:
-    return _first_pair(dual(t).rows) is None
+    return first_pair_sharing_one(dual(t).rows) is None
 
 
 def is_quadrangular(t: Tournament) -> bool:

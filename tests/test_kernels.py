@@ -3,18 +3,21 @@
 Inputs: every labelled tournament with n <= 6, seeded random tournaments
 with 7 <= n <= 40, and seeded relabellings of quadrangular rotational and
 quadratic-residue tournaments, so both verdicts of each scan are reached at
-sizes where a witness need not sit at the first pair.  Past 30 rows wider
-than 60 bits, both row-pair scans (exactly one common bit, and none) run one
-kernel that settles most pairs by a count over 64 spread screen columns, so
-it gets its own inputs: tournaments with 61 <= n <= 160 and their duals,
-patterns up to 300 columns wide and 0.01 to 0.9 dense, rows with empty low
-words, unrelabelled glues, a transitive tournament, all-zero rows, rows
-holding fewer than two screen columns, and hand-made pairs whose common bits
-sit on and off the screen columns.  The wide tournaments and their duals
-also go through the dominant pairs, competition graph and gamma > 2 tests
-built on the no-common-bit scan.  The gamma > 3 test reads each missed set a
-byte at a time, so it gets inputs whose n straddles 8, 16 and 24, grown
-from QR_p by twin vertices, and relabelled QR_23, QR_31 and QR_43.
+sizes where a witness need not sit at the first pair.  Past 200 rows, both
+row-pair scans (exactly one common bit, and none) walk one screen that
+settles most pairs by a count over 64 spread screen columns.  The screen is
+checked on its own against brute force, and the scans walk it on any input
+when the row gate is patched to 0: tournaments with 61 <= n <= 160 and their
+duals, patterns up to 300 columns wide and 0.01 to 0.9 dense, rows with
+empty low words, unrelabelled glues, a transitive tournament, all-zero rows,
+rows holding fewer than two screen columns, and hand-made pairs whose common
+bits sit on and off the screen columns.  Tournaments of 201 to 302 vertices
+reach it unpatched.  The wide tournaments and their duals also go through
+the dominant pairs, competition graph and gamma > 2 tests built on the
+no-common-bit scan, both in order and screened.  The gamma > 3 test reads
+each missed set a byte at a time, so it gets inputs whose n straddles 8, 16
+and 24, grown from QR_p by twin vertices, and relabelled QR_23, QR_31 and
+QR_43.
 DOT export is compared arc by arc on every input.  The theorem layer's
 vertex deletion and its reversed-side domination test are checked against
 induced() and against the reversal itself, on cores whose domination number
@@ -29,13 +32,15 @@ from itertools import combinations
 
 import pytest
 
-from quadtour import cli, domination
+from quadtour import cli, core, domination
 from quadtour.core import (
+    _PLAIN_ROWS,
     _SCREEN,
     Tournament,
-    _pairs_sharing,
-    _unsettled,
+    _screen,
     disjoint_pairs,
+    first_pair_sharing_one,
+    iter_bits,
     dual,
     induced,
     validate,
@@ -279,8 +284,9 @@ def test_hand_made_pairs_across_the_word_boundary(a, b, witness):
     assert (brute_row_pair((a, b)) == (0, 1)) == witness
     want = (0, 1) if witness else None
     assert comb_row_orthogonal(BinaryPattern(2, 200, (a, b))) == (want is None, want)
-    # Two rows take the plain loop; past 30 rows the word test runs.  The same
-    # pair after 40 dense rows, disjoint from it, that it settles among themselves.
+    # The pair alone, and after 40 dense rows disjoint from it whose low words
+    # share two bits pairwise.  Both take the in-order loop, since neither has
+    # more than _PLAIN_ROWS rows; the 42 rows also go through the kernel.
     rng = random.Random(a ^ b)
     dense = []
     while len(dense) < 40:
@@ -291,16 +297,16 @@ def test_hand_made_pairs_across_the_word_boundary(a, b, witness):
     want = brute_row_pair(bits)
     assert want == ((40, 41) if witness else None)
     assert comb_row_orthogonal(BinaryPattern(42, 200, bits)) == (want is None, want)
-    # The dense rows make the scan 200 wide and screened, so the pair's
-    # screen columns are those of SCREEN_200.
-    assert max(bits).bit_length() == 200 and 4 * sum(r.bit_count() for r in bits) >= 42 * 200
-    assert list(disjoint_pairs(bits)) == brute_disjoint_pairs(bits)
+    # The dense rows make the scan 200 wide, so the pair's screen columns
+    # are those of SCREEN_200.
+    assert max(bits).bit_length() == 200
+    _assert_kernel_matches_brute(bits)
 
 
 def _kernel_patterns():
     """Seeded random patterns, 31 to 120 rows, 1 to 300 columns and densities
-    0.01 to 0.9, so the kernel screens some and scans the sparse or narrow
-    ones in order."""
+    0.01 to 0.9, so the screen settles the later rows of some rows and leaves
+    those of sparse ones open."""
     rng = random.Random(64)
     out = []
     for _ in range(150):
@@ -313,28 +319,36 @@ def _kernel_patterns():
 KERNEL_PATTERNS = _kernel_patterns()
 
 
-def _screened(rows) -> bool:
-    width = max(rows).bit_length()
-    return width > 60 and 4 * sum(r.bit_count() for r in rows) >= len(rows) * width
+def _kernel(rows, c: int) -> list:
+    """Every pair sharing exactly c bits among those the screen leaves open,
+    whatever the number of rows: all of them, if the screen drops none."""
+    n = len(rows)
+    return [(u, v) for u, left in enumerate(_screen(rows, c))
+            for v in (range(u + 1, n) if left is None else iter_bits(left))
+            if (rows[u] & rows[v]).bit_count() == c]
 
 
 def _assert_kernel_matches_brute(rows):
     disjoint, one = (brute_pairs_sharing(rows, c) for c in (0, 1))
-    assert list(_pairs_sharing(rows, 0)) == disjoint
-    assert list(_pairs_sharing(rows, 1)) == one
-    # The public scans, which take the kernel past 30 rows wider than 60 bits.
-    assert list(disjoint_pairs(rows)) == disjoint
+    assert _kernel(rows, 0) == disjoint
+    assert _kernel(rows, 1) == one
     want = one[0] if one else None
     pattern = BinaryPattern(len(rows), max(rows).bit_length(), tuple(rows))
-    assert comb_row_orthogonal(pattern) == (want is None, want)
+    # The public scans test every pair in order up to _PLAIN_ROWS rows, and
+    # walk the screen past it; with the gate at 0 they walk it on any rows.
+    for gate in (_PLAIN_ROWS, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_PLAIN_ROWS", gate)
+            assert list(disjoint_pairs(rows)) == disjoint
+            assert first_pair_sharing_one(rows) == want
+            assert comb_row_orthogonal(pattern) == (want is None, want)
 
 
 def test_kernel_on_random_patterns_matches_brute():
-    screened = [rows for rows in KERNEL_PATTERNS if _screened(rows)]
-    assert 40 <= len(screened) <= len(KERNEL_PATTERNS) - 40
-    # Past row 0, which is always tested in order, some screened rows leave
-    # more than a quarter of the later rows open.
-    assert any(None in list(_unsettled(rows, 1))[1:-4] for rows in screened)
+    # Past row 0, which is always tested in order, the screen settles most
+    # later rows of some rows and leaves more than a quarter open on others.
+    opened = {left is None for rows in KERNEL_PATTERNS for left in list(_screen(rows, 1))[1:-4]}
+    assert opened == {True, False}
     for rows in KERNEL_PATTERNS:
         _assert_kernel_matches_brute(rows)
 
@@ -351,7 +365,6 @@ def test_kernel_on_glues_transitive_and_zero_rows():
     dense = [rng.getrandbits(150) | 1 << 149 for _ in range(50)]
     rows_sets = [t.rows for t in inputs] + [dual(t).rows for t in inputs]
     rows_sets += [(0,) * 40, tuple(0 if i % 7 == 0 else row for i, row in enumerate(dense))]
-    assert all(_screened(rows) for rows in rows_sets[:-2] + rows_sets[-1:])
     for rows in rows_sets:
         _assert_kernel_matches_brute(rows)
     # In a transitive tournament O(v) is inside O(u) for u < v, so u's pairs
@@ -367,7 +380,7 @@ def test_screen_settles_most_pairs_of_the_unrelabelled_glue():
     for rows in (t.rows, dual(t).rows):
         n = len(rows)
         for c in (0, 1):
-            lefts = list(_unsettled(rows, c))
+            lefts = list(_screen(rows, c))
             open_pairs = sum(n - 1 - u if left is None else left.bit_count()
                              for u, left in enumerate(lefts))
             assert open_pairs < n * (n - 1) // 2 // 20, (c, open_pairs)
@@ -382,7 +395,7 @@ def test_kernel_on_rows_holding_few_screen_columns():
     rows[17] = sum(1 << col for col in rng.sample(off, 40)) | 1 << SCREEN_200[30]  # one
     rows[49] = 1 << SCREEN_200[7]  # the last row, one screen column and nothing else
     held = [sum(row >> col & 1 for col in SCREEN_200) for row in rows]
-    assert (held[5], held[17], held[49]) == (0, 1, 1) and _screened(rows)
+    assert (held[5], held[17], held[49]) == (0, 1, 1)
     _assert_kernel_matches_brute(rows)
     # Row 17's off-screen columns with another screen column: no screen
     # column in common with row 17, so only the full test sees the 40 shared bits.
@@ -390,7 +403,9 @@ def test_kernel_on_rows_holding_few_screen_columns():
     _assert_kernel_matches_brute(rows)
 
 
-def test_wide_c0_scans_match_brute():
+@pytest.mark.parametrize("gate", [_PLAIN_ROWS, 0], ids=["in-order", "screened"])
+def test_wide_c0_scans_match_brute(gate, monkeypatch):
+    monkeypatch.setattr(core, "_PLAIN_ROWS", gate)
     inputs = WIDE + [dual(t) for t in WIDE]
     assert {bool(brute_dominant_pairs(t)) for t in inputs} == {True, False}
     assert {brute_gamma_exceeds(t, 2) for t in inputs} == {True, False}
@@ -402,6 +417,57 @@ def test_wide_c0_scans_match_brute():
         assert competition_graph(t).edges == brute_competition_edges(t)
         exceeds = brute_gamma_exceeds(t, 2)
         assert gamma_exceeds(t, 2) == _exceeds_two(dual(t).rows) == exceeds, t
+
+
+def test_wide_witness_through_the_screen(monkeypatch):
+    # WIDE has at most 160 vertices; with the gate at 0 both sides are screened.
+    monkeypatch.setattr(core, "_PLAIN_ROWS", 0)
+    for t in WIDE:
+        for side in ("out", "in"):
+            rep = quadrangularity(t, side)
+            want = brute_witness(t, side)
+            assert rep.witness == want and rep.verdict == (want is None), (t, side)
+        assert is_quadrangular(t) == (brute_out_quadrangular(t) and brute_in_quadrangular(t))
+
+
+def _past_the_gate():
+    """Tournaments of more than _PLAIN_ROWS vertices: the public scans of
+    their out- and in-rows go through the kernel."""
+    rng = random.Random(227)
+    return [_glue(rotational(family_symbol(151))), relabel(quadratic_residue(227), rng),
+            relabel(u_n(201), rng), random_tournament(230, 5), _late_witness(210, 1, 3),
+            _transitive(205)]
+
+
+def test_scans_past_the_row_gate_run_the_kernel(monkeypatch):
+    sizes = []
+
+    def counted(rows, c):
+        sizes.append(len(rows))
+        return _screen(rows, c)
+
+    monkeypatch.setattr(core, "_screen", counted)
+    inputs = _past_the_gate()
+    assert min(t.n for t in inputs) > _PLAIN_ROWS
+    assert {brute_out_quadrangular(t) for t in inputs} == {True, False}
+    assert {brute_in_quadrangular(t) for t in inputs} == {True, False}
+    assert {bool(brute_dominant_pairs(t)) for t in inputs} == {True, False}
+    for t in inputs:
+        for side in ("out", "in"):
+            want = brute_witness(t, side)
+            assert quadrangularity(t, side).witness == want, (t.n, side)
+        want = brute_dominant_pairs(t)
+        assert dominant_pairs(t) == tuple(want)
+        assert list(disjoint_pairs(t.rows)) == brute_disjoint_pairs(t.rows)
+        assert competition_graph(t).edges == brute_competition_edges(t)
+        assert gamma_exceeds(t, 2) == (0 not in dual(t).rows and not want)
+    assert sizes and all(size > _PLAIN_ROWS for size in sizes)
+    # At _PLAIN_ROWS rows the scans test every pair in order.
+    t = random_tournament(_PLAIN_ROWS, 5)
+    del sizes[:]
+    assert list(disjoint_pairs(t.rows)) == brute_disjoint_pairs(t.rows)
+    assert quadrangularity(t, "out").witness == brute_witness(t, "out")
+    assert not sizes
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

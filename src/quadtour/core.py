@@ -11,7 +11,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, repeat
+from itertools import compress
 from operator import itemgetter, or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -27,7 +27,9 @@ from .errors import (
 
 ISOMORPHISM_MAX_N = 12
 
-_PLAIN_ROWS = 200  # pair scans of at most this many rows test every pair in order
+# Pair scans of at most this many rows test every pair in order: below about
+# 200 rows a row's screen costs more than the tests it saves.
+_PLAIN_ROWS = 200
 _SCREEN = 64  # screen columns of a longer pair scan, spread evenly over its width
 _SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' text as compress() selectors
 
@@ -59,38 +61,32 @@ def columns(n: int, rows: Sequence[int], picks: Optional[Sequence[int]] = None) 
 
 
 def disjoint_pairs(rows: Sequence[int]) -> Iterator[tuple]:
-    """Yield each pair u < v whose rows share no bit, in lexicographic order.
+    """Each pair u < v whose rows share no bit, lazily, in lexicographic order.
 
     On a tournament's in-rows these are its dominant pairs (no vertex beats
-    both); on its out-rows, the pairs with no common out-neighbour.  Row u
-    tests the later rows that _unsettled(rows, 0) leaves open.
+    both); on its out-rows, the pairs with no common out-neighbour.  Scans
+    of at most _PLAIN_ROWS rows test every pair in order; longer ones walk
+    the screen (_screen).
     """
-    n = len(rows)
-    for u, left in enumerate(_unsettled(rows, 0)):
-        ru = rows[u]
-        if left is None:
-            for v in range(u + 1, n):
-                if not ru & rows[v]:
-                    yield u, v
-            continue
-        while left:
-            v = (left & -left).bit_length() - 1
-            if not ru & rows[v]:
-                yield u, v
-            left &= left - 1
+    if len(rows) > _PLAIN_ROWS:
+        return _screened_disjoint(rows)
+    return _disjoint_in_order(rows, 0, len(rows))
 
 
 def first_pair_sharing_one(rows: Sequence[int]) -> Optional[tuple]:
     """Lexicographically smallest pair u < v whose rows share exactly one bit,
-    or None.  Row u tests the later rows that _unsettled(rows, 1) leaves open."""
+    or None.  Scans of at most _PLAIN_ROWS rows test every pair in order;
+    longer ones walk the screen (_screen)."""
     n = len(rows)
-    for u, left in enumerate(_unsettled(rows, 1)):
-        ru = rows[u]
+    if n <= _PLAIN_ROWS:
+        return _first_in_order(rows, 0, n)
+    for u, left in enumerate(_screen(rows, 1)):
         if left is None:
-            for v in range(u + 1, n):
-                if (ru & rows[v]).bit_count() == 1:
-                    return u, v
+            pair = _first_in_order(rows, u, u + 1)
+            if pair:
+                return pair
             continue
+        ru = rows[u]
         while left:
             v = (left & -left).bit_length() - 1
             if (ru & rows[v]).bit_count() == 1:
@@ -99,18 +95,42 @@ def first_pair_sharing_one(rows: Sequence[int]) -> Optional[tuple]:
     return None
 
 
-def _unsettled(rows: Sequence[int], c: int) -> Iterator[Optional[int]]:
-    """For each row in turn, the mask of later rows that may share exactly c
-    bits with it (c in {0, 1}), or None to test every later row in order.
-
-    Scans of at most _PLAIN_ROWS rows get None throughout: below about 200
-    rows a row's screen costs more than the tests it saves.  Longer scans
-    are screened by _screen.
-    """
+def _first_in_order(rows: Sequence[int], start: int, stop: int) -> Optional[tuple]:
+    """The first pair u < v with start <= u < stop whose rows share exactly
+    one bit, testing each row against every later row in turn, or None."""
     n = len(rows)
-    if n > _PLAIN_ROWS:
-        return _screen(rows, c)
-    return repeat(None, n)
+    for u in range(start, stop):
+        ru = rows[u]
+        for v in range(u + 1, n):
+            if (ru & rows[v]).bit_count() == 1:
+                return u, v
+    return None
+
+
+def _disjoint_in_order(rows: Sequence[int], start: int, stop: int) -> Iterator[tuple]:
+    """Each pair u < v with start <= u < stop whose rows share no bit,
+    testing each row against every later row in turn."""
+    n = len(rows)
+    for u in range(start, stop):
+        ru = rows[u]
+        for v in range(u + 1, n):
+            if not ru & rows[v]:
+                yield u, v
+
+
+def _screened_disjoint(rows: Sequence[int]) -> Iterator[tuple]:
+    """disjoint_pairs past _PLAIN_ROWS rows: row u tests the later rows the
+    screen leaves open, or all of them in order where it leaves None."""
+    for u, left in enumerate(_screen(rows, 0)):
+        if left is None:
+            yield from _disjoint_in_order(rows, u, u + 1)
+            continue
+        ru = rows[u]
+        while left:
+            v = (left & -left).bit_length() - 1
+            if not ru & rows[v]:
+                yield u, v
+            left &= left - 1
 
 
 def _screen(rows: Sequence[int], c: int) -> Iterator[Optional[int]]:

@@ -7,13 +7,9 @@ the pattern of a combinatorially orthogonal matrix is quadrangular:
 Both sides run one row-pair scan: the out side on the out-rows, the in side
 on the in-rows, i.e. the out-rows of the dual.  The is_* predicates only ask
 whether the scan finds a pair; quadrangularity() also reports the witness.
-The scan is core.first_pair_sharing_one.  Past 200 rows it is screened:
-64 columns spread over the width are read once from the transpose, and for
-each row a bit-sliced count over the screen columns it holds marks the later
-rows that share two of them.  Those pairs share at least two bits, so only
-the unmarked ones need the full-row AND; a row whose screen leaves over a
-quarter of the later rows open tests them all in order.  Verdict and
-witness are those of the in-order scan.
+The scan is core.first_pair_sharing_one, which screens long scans on a
+count over spread columns (core._unsettled) and skips only pairs sharing two
+or more bits, so verdict and witness are those of the in-order scan.
 """
 
 from __future__ import annotations

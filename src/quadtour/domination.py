@@ -5,7 +5,7 @@ vertex is in its own in-set, so S dominates iff its members' in-sets have
 an empty intersection.  The domination tests read the in-rows, the out-rows
 of the dual, through this criterion; for pairs it is core.disjoint_pairs.
 On long scans it walks the column screen it shares with the
-quadrangularity test (core._unsettled): a pair whose in-rows meet in a
+quadrangularity test (core._screen): a pair whose in-rows meet in a
 screen column is settled without the full-row AND.
 The in-rows of a reversal are the out-rows of the original, so a caller that
 asks whether gamma(T^r) > 2 passes T.rows to _exceeds_two and builds no dual.

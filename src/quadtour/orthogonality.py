@@ -8,7 +8,7 @@ Both sides run one row-pair scan: the out side on the out-rows, the in side
 on the in-rows, i.e. the out-rows of the dual.  The is_* predicates only ask
 whether the scan finds a pair; quadrangularity() also reports the witness.
 The scan is core.first_pair_sharing_one, which screens long scans on a
-count over spread columns (core._unsettled) and skips only pairs sharing two
+count over spread columns (core._screen) and skips only pairs sharing two
 or more bits, so verdict and witness are those of the in-order scan.
 """
 

@@ -64,73 +64,38 @@ def disjoint_pairs(rows: Sequence[int]) -> Iterator[tuple]:
     """Each pair u < v whose rows share no bit, lazily, in lexicographic order.
 
     On a tournament's in-rows these are its dominant pairs (no vertex beats
-    both); on its out-rows, the pairs with no common out-neighbour.  Scans
-    of at most _PLAIN_ROWS rows test every pair in order; longer ones walk
-    the screen (_screen).
+    both); on its out-rows, the pairs with no common out-neighbour.
     """
-    if len(rows) > _PLAIN_ROWS:
-        return _screened_disjoint(rows)
-    return _disjoint_in_order(rows, 0, len(rows))
+    return _pairs_sharing(rows, 0)
 
 
 def first_pair_sharing_one(rows: Sequence[int]) -> Optional[tuple]:
     """Lexicographically smallest pair u < v whose rows share exactly one bit,
-    or None.  Scans of at most _PLAIN_ROWS rows test every pair in order;
-    longer ones walk the screen (_screen)."""
+    or None."""
+    return next(_pairs_sharing(rows, 1), None)
+
+
+def _pairs_sharing(rows: Sequence[int], c: int) -> Iterator[tuple]:
+    """Each pair u < v whose rows share exactly c bits, in lexicographic order.
+
+    Scans of at most _PLAIN_ROWS rows test every pair in order.  Longer ones
+    walk the screen (_screen): row u tests only the later rows it leaves
+    open, or every later row in order where it gives None.  The screen drops
+    only pairs sharing more than c bits, so the output is the same.  The
+    scan is lazy: a caller that stops at a pair in row 0 builds no screen.
+    """
     n = len(rows)
     if n <= _PLAIN_ROWS:
-        return _first_in_order(rows, 0, n)
-    for u, left in enumerate(_screen(rows, 1)):
-        if left is None:
-            pair = _first_in_order(rows, u, u + 1)
-            if pair:
-                return pair
-            continue
+        for u, ru in enumerate(rows):
+            for v in range(u + 1, n):
+                if (ru & rows[v]).bit_count() == c:
+                    yield u, v
+        return
+    for u, left in enumerate(_screen(rows, c)):
         ru = rows[u]
-        while left:
-            v = (left & -left).bit_length() - 1
-            if (ru & rows[v]).bit_count() == 1:
-                return u, v
-            left &= left - 1
-    return None
-
-
-def _first_in_order(rows: Sequence[int], start: int, stop: int) -> Optional[tuple]:
-    """The first pair u < v with start <= u < stop whose rows share exactly
-    one bit, testing each row against every later row in turn, or None."""
-    n = len(rows)
-    for u in range(start, stop):
-        ru = rows[u]
-        for v in range(u + 1, n):
-            if (ru & rows[v]).bit_count() == 1:
-                return u, v
-    return None
-
-
-def _disjoint_in_order(rows: Sequence[int], start: int, stop: int) -> Iterator[tuple]:
-    """Each pair u < v with start <= u < stop whose rows share no bit,
-    testing each row against every later row in turn."""
-    n = len(rows)
-    for u in range(start, stop):
-        ru = rows[u]
-        for v in range(u + 1, n):
-            if not ru & rows[v]:
+        for v in range(u + 1, n) if left is None else iter_bits(left):
+            if (ru & rows[v]).bit_count() == c:
                 yield u, v
-
-
-def _screened_disjoint(rows: Sequence[int]) -> Iterator[tuple]:
-    """disjoint_pairs past _PLAIN_ROWS rows: row u tests the later rows the
-    screen leaves open, or all of them in order where it leaves None."""
-    for u, left in enumerate(_screen(rows, 0)):
-        if left is None:
-            yield from _disjoint_in_order(rows, u, u + 1)
-            continue
-        ru = rows[u]
-        while left:
-            v = (left & -left).bit_length() - 1
-            if not ru & rows[v]:
-                yield u, v
-            left &= left - 1
 
 
 def _screen(rows: Sequence[int], c: int) -> Iterator[Optional[int]]:

@@ -3,10 +3,10 @@
 A vertex outside S escapes S exactly when it beats every member, and no
 vertex is in its own in-set, so S dominates iff its members' in-sets have
 an empty intersection.  The domination tests read the in-rows, the out-rows
-of the dual, through this criterion; for pairs it is core.disjoint_pairs.
-On long scans it walks the column screen it shares with the
-quadrangularity test (core._screen): a pair whose in-rows meet in a
-screen column is settled without the full-row AND.
+of the dual, through this criterion; for pairs it is core.disjoint_pairs,
+the row-pair scan of the quadrangularity test (core._pairs_sharing) asked
+for pairs sharing no bit instead of one.  On long scans a pair whose
+in-rows meet in a screen column is settled without the full-row AND.
 The in-rows of a reversal are the out-rows of the original, so a caller that
 asks whether gamma(T^r) > 2 passes T.rows to _exceeds_two and builds no dual.
 The gamma > 3 test asks, for each pair, whether some vertex lies in the
@@ -74,7 +74,7 @@ def domination_number(t: Tournament) -> DominationInfo:
     if t.n > GAMMA_MAX_N:
         raise SizeLimitExceeded(f"domination number refused for n={t.n} > {GAMMA_MAX_N}")
     full, ins = t.full_mask, dual(t).rows
-    pairs = dominant_pairs(t)
+    pairs = tuple(disjoint_pairs(ins))
     for size in range(1, t.n + 1):
         for combo in combinations(range(t.n), size):
             if not _undominated(ins, combo, full):

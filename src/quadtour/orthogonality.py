@@ -7,9 +7,11 @@ the pattern of a combinatorially orthogonal matrix is quadrangular:
 Both sides run one row-pair scan: the out side on the out-rows, the in side
 on the in-rows, i.e. the out-rows of the dual.  The is_* predicates only ask
 whether the scan finds a pair; quadrangularity() also reports the witness.
-The scan is core.first_pair_sharing_one, which screens long scans on a
-count over spread columns (core._screen) and skips only pairs sharing two
-or more bits, so verdict and witness are those of the in-order scan.
+The scan is core.first_pair_sharing_one, the first pair of the row-pair
+scan that dominant pairs also run (core._pairs_sharing, asked for one
+common bit).  On long scans it skips only pairs that a count over spread
+columns shows to share two or more bits, so verdict and witness are those
+of the in-order scan.
 """
 
 from __future__ import annotations

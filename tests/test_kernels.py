@@ -3,18 +3,22 @@
 Inputs: every labelled tournament with n <= 6, seeded random tournaments
 with 7 <= n <= 40, and seeded relabellings of quadrangular rotational and
 quadratic-residue tournaments, so both verdicts of each scan are reached at
-sizes where a witness need not sit at the first pair.  Past 200 rows, both
-row-pair scans (exactly one common bit, and none) walk one screen that
-settles most pairs by a count over 64 spread screen columns.  The screen is
-checked on its own against brute force, and the scans walk it on any input
-when the row gate is patched to 0: tournaments with 61 <= n <= 160 and their
-duals, patterns up to 300 columns wide and 0.01 to 0.9 dense, rows with
-empty low words, unrelabelled glues, a transitive tournament, all-zero rows,
-rows holding fewer than two screen columns, and hand-made pairs whose common
-bits sit on and off the screen columns.  Tournaments of 201 to 302 vertices
-reach it unpatched.  The wide tournaments and their duals also go through
-the dominant pairs, competition graph and gamma > 2 tests built on the
-no-common-bit scan, both in order and screened.  The gamma > 3 test reads
+sizes where a witness need not sit at the first pair.  Both row-pair
+questions (exactly one common bit, and none) are one scan,
+core._pairs_sharing(rows, c); past 200 rows it walks a screen that settles
+most pairs by a count over 64 spread screen columns.  The screen is checked
+on its own against brute force, and the scan, for both c, walks it on any
+input when the row gate is patched to 0: tournaments with 61 <= n <= 160
+and their duals, patterns up to 300 columns wide and 0.01 to 0.9 dense,
+rows with empty low words, unrelabelled glues, a transitive tournament,
+all-zero rows, rows holding fewer than two screen columns, and hand-made
+pairs whose common bits sit on and off the screen columns.  Tournaments of
+201 to 302 vertices reach it unpatched, and so do a 300-row identity (with
+and without a late common bit) and a sparse 250-row pattern, whose rows the
+screen leaves mostly open, so they are tested in order.  The wide
+tournaments and their duals also go through the dominant pairs, competition
+graph and gamma > 2 tests built on the no-common-bit scan, both in order
+and screened.  The gamma > 3 test reads
 each missed set a byte at a time, so it gets inputs whose n straddles 8, 16
 and 24, grown from QR_p by twin vertices, and relabelled QR_23, QR_31 and
 QR_43.
@@ -37,10 +41,10 @@ from quadtour.core import (
     _PLAIN_ROWS,
     _SCREEN,
     Tournament,
+    _pairs_sharing,
     _screen,
     disjoint_pairs,
     first_pair_sharing_one,
-    iter_bits,
     dual,
     induced,
     validate,
@@ -319,26 +323,17 @@ def _kernel_patterns():
 KERNEL_PATTERNS = _kernel_patterns()
 
 
-def _kernel(rows, c: int) -> list:
-    """Every pair sharing exactly c bits among those the screen leaves open,
-    whatever the number of rows: all of them, if the screen drops none."""
-    n = len(rows)
-    return [(u, v) for u, left in enumerate(_screen(rows, c))
-            for v in (range(u + 1, n) if left is None else iter_bits(left))
-            if (rows[u] & rows[v]).bit_count() == c]
-
-
 def _assert_kernel_matches_brute(rows):
     disjoint, one = (brute_pairs_sharing(rows, c) for c in (0, 1))
-    assert _kernel(rows, 0) == disjoint
-    assert _kernel(rows, 1) == one
     want = one[0] if one else None
     pattern = BinaryPattern(len(rows), max(rows).bit_length(), tuple(rows))
-    # The public scans test every pair in order up to _PLAIN_ROWS rows, and
-    # walk the screen past it; with the gate at 0 they walk it on any rows.
+    # The scan tests every pair in order up to _PLAIN_ROWS rows, and walks
+    # the screen past it; with the gate at 0 it walks the screen on any rows.
     for gate in (_PLAIN_ROWS, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_PLAIN_ROWS", gate)
+            assert list(_pairs_sharing(rows, 0)) == disjoint
+            assert list(_pairs_sharing(rows, 1)) == one
             assert list(disjoint_pairs(rows)) == disjoint
             assert first_pair_sharing_one(rows) == want
             assert comb_row_orthogonal(pattern) == (want is None, want)
@@ -365,8 +360,22 @@ def test_kernel_on_glues_transitive_and_zero_rows():
     dense = [rng.getrandbits(150) | 1 << 149 for _ in range(50)]
     rows_sets = [t.rows for t in inputs] + [dual(t).rows for t in inputs]
     rows_sets += [(0,) * 40, tuple(0 if i % 7 == 0 else row for i, row in enumerate(dense))]
+    # Past _PLAIN_ROWS with the gate unpatched: the identity, the identity
+    # whose row 250 also holds bit 10 (its only pair sharing one bit is
+    # (10, 250)), and a sparse pattern.
+    identity = tuple(1 << u for u in range(300))
+    late = identity[:250] + (identity[250] | 1 << 10,) + identity[251:]
+    sparse = tuple(sum(1 << col for col in range(250) if rng.random() < 0.05)
+                   for _ in range(250))
+    assert brute_pairs_sharing(late, 1) == [(10, 250)]
+    rows_sets += [identity, late, sparse]
     for rows in rows_sets:
         _assert_kernel_matches_brute(rows)
+    # On the identity a row holds at most one screen column and meets no
+    # later row in it, so the screen leaves every row but the last more than
+    # a quarter open, for both c: those rows are tested in order.
+    for c in (0, 1):
+        assert [left is None for left in _screen(identity, c)] == [True] * 299 + [False]
     # In a transitive tournament O(v) is inside O(u) for u < v, so u's pairs
     # with n - 2 share one out-neighbour and with n - 1 none.
     n = 100

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import itemgetter, or_
@@ -249,8 +248,7 @@ def induced(t: Tournament, keep) -> Tournament:
     return Tournament(len(kept), [int("".join(pick(format(rows[v], fmt))), 2) for v in kept])
 
 
-@dataclass(frozen=True)
-class StrongDecomposition:
+class StrongDecomposition(NamedTuple):
     """Strong components ordered so earlier components beat later ones."""
 
     components: tuple  # tuple of tuples of vertices, each ascending

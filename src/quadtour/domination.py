@@ -17,9 +17,8 @@ one 8-vertex chunk; a chunk's table is built the first time a pair needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
+from itertools import combinations, filterfalse
+from typing import Iterable, NamedTuple
 
 from .core import Tournament, disjoint_pairs, dual
 from .errors import SizeLimitExceeded, UnsupportedK
@@ -27,8 +26,7 @@ from .errors import SizeLimitExceeded, UnsupportedK
 GAMMA_MAX_N = 24
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(NamedTuple):
     """Undirected loopless graph on the tournament's vertices."""
 
     n: int
@@ -41,8 +39,7 @@ class SimpleGraph:
         return sum(1 for e in self.edges if v in e)
 
 
-@dataclass(frozen=True)
-class DominationInfo:
+class DominationInfo(NamedTuple):
     gamma: int
     min_set: tuple  # lexicographically smallest minimum dominating set
     pairs: tuple  # all dominant pairs, lexicographic
@@ -137,5 +134,5 @@ def domination_graph(t: Tournament) -> SimpleGraph:
 
 def competition_graph(t: Tournament) -> SimpleGraph:
     """Edge {x, y} iff x and y share at least one common out-neighbour."""
-    pairs = frozenset(combinations(range(t.n), 2))
-    return SimpleGraph(t.n, pairs - frozenset(disjoint_pairs(t.rows)))
+    disjoint = set(disjoint_pairs(t.rows))
+    return SimpleGraph(t.n, frozenset(filterfalse(disjoint.__contains__, combinations(range(t.n), 2))))

@@ -6,8 +6,7 @@ all_tournaments and regular_tournaments share one vertex-by-vertex enumerator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import Tournament
 from .errors import (
@@ -23,8 +22,7 @@ from .errors import (
 ENUMERATION_MAX_N = 7
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     """Difference set defining a rotational tournament on odd n."""
 
     n: int

@@ -3,6 +3,9 @@
 Matrix files carry a vertex count in ASCII decimal digits on the first line
 (after an optional UTF-8 BOM), followed by n lines of exactly n '0'/'1'
 characters; row u column v is 1 iff u beats v.
+The body is checked in one pass: every line has length n, and deleting the
+'0' and '1' characters from all lines joined leaves nothing.  Only a body
+that fails this check is read again line by line, to name the first bad line.
 DOT export builds one string per row: the row's bit string, translated to
 0/1 bytes, selects the arc heads from the vertex names, so no arc becomes a
 tuple or a formatted string of its own.
@@ -16,6 +19,8 @@ from . import core
 from .core import Tournament
 from .errors import MatrixParseError, QuadTourError
 from .orthogonality import BinaryPattern
+
+_DELETE_BITS = str.maketrans("", "", "01")
 
 
 def render_tournament(t: Tournament) -> str:
@@ -37,12 +42,12 @@ def parse_pattern(text: str) -> BinaryPattern:
     body = lines[1:]
     if len(body) != n:
         raise MatrixParseError(f"expected {n} body lines, got {len(body)}")
-    bits = []
-    for r, line in enumerate(body):
-        if len(line) != n or line.count("0") + line.count("1") != n:
-            raise MatrixParseError(f"body line {r} must be {n} chars of 0/1")
-        bits.append(int(line[::-1], 2))
-    return BinaryPattern(n, n, tuple(bits))
+    # int(line, 2) alone would also take '_', signs, spaces and non-ASCII digits.
+    if set(map(len, body)) != {n} or "".join(body).translate(_DELETE_BITS):
+        for r, line in enumerate(body):
+            if len(line) != n or line.count("0") + line.count("1") != n:
+                raise MatrixParseError(f"body line {r} must be {n} chars of 0/1")
+    return BinaryPattern(n, n, tuple([int(line[::-1], 2) for line in body]))
 
 
 def parse_tournament(text: str) -> Tournament:

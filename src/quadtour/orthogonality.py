@@ -16,27 +16,30 @@ of the in-order scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 from .core import Tournament, columns, dual, first_pair_sharing_one, iter_bits
 from .errors import DimensionMismatch, InvalidSide, NotSquare
 
 
-@dataclass(frozen=True)
-class BinaryPattern:
-    """Rectangular 0/1 matrix, one column-bitmask per row."""
-
+class _PatternFields(NamedTuple):
     rows: int
     cols: int
     bits: tuple  # bits[r] has bit c set iff entry (r, c) is 1
 
-    def __post_init__(self):
-        if self.cols < 0 or len(self.bits) != self.rows:
-            raise DimensionMismatch(f"{len(self.bits)} rows of bits for a {self.rows}x{self.cols} pattern")
-        for r, row in enumerate(self.bits):
-            if row < 0 or row >> self.cols:
-                raise DimensionMismatch(f"row {r} has bits outside {self.cols} columns")
+
+class BinaryPattern(_PatternFields):
+    """Rectangular 0/1 matrix, one column-bitmask per row."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, bits: tuple):
+        if cols < 0 or len(bits) != rows:
+            raise DimensionMismatch(f"{len(bits)} rows of bits for a {rows}x{cols} pattern")
+        for r, row in enumerate(bits):
+            if row < 0 or row >> cols:
+                raise DimensionMismatch(f"row {r} has bits outside {cols} columns")
+        return tuple.__new__(cls, (rows, cols, bits))
 
     def transpose(self) -> "BinaryPattern":
         return BinaryPattern(self.cols, self.rows, tuple(columns(self.cols, self.bits)))
@@ -87,8 +90,7 @@ class Witness(NamedTuple):
     common: tuple
 
 
-@dataclass(frozen=True)
-class QuadReport:
+class QuadReport(NamedTuple):
     """Verdict for one side of the quadrangularity check.
 
     When the verdict is false, witness holds the lexicographically smallest

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from itertools import islice, product, repeat
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .errors import EvenOrTooSmall, SizeLimitExceeded, TooSmall, WrongResidueClass
 from .generators import Symbol, make_symbol
@@ -89,8 +88,7 @@ def first_hit(n: int) -> Tuple[Optional[tuple], int]:
     return None, total
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     n: int
     hits: tuple  # sorted member tuples, in enumeration order
     examined: int

@@ -19,7 +19,6 @@ its rule is proved in the docstring of the rule's conditions and not evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -38,8 +37,7 @@ from .generators import u_n
 from .orthogonality import is_in_quadrangular, is_out_quadrangular, is_quadrangular
 
 
-@dataclass(frozen=True)
-class ClassificationTrace:
+class ClassificationTrace(NamedTuple):
     rule: str
     conditions: tuple  # (condition name, truth value) pairs
     verdict: bool

@@ -121,6 +121,29 @@ class TestParseInput:
         with pytest.raises(MatrixParseError, match="body line 0"):
             parse_pattern(f"3\n{row}\n001\n100\n")
 
+    @pytest.mark.parametrize("n, replace, bad", [
+        (300, {299: "0" * 299 + "_"}, 299),
+        (300, {299: "0" * 299 + "\u0661"}, 299),  # Arabic-Indic digit one
+        (300, {150: "1" * 149, 151: "0" * 301}, 150),
+        (3, {0: "01", 1: "0011"}, 0),
+        (3, {1: "00", 2: "1000"}, 1),
+    ])
+    def test_bad_body_row_named_past_row_0(self, n, replace, bad):
+        # The body is checked in one pass; the message still names the first
+        # bad line.  The last three cases have a short line followed by a
+        # long one, n * n valid characters in all.
+        lines = [("0" * (u + 1) + "1" * n)[:n] for u in range(n)]
+        for r, line in replace.items():
+            lines[r] = line
+        with pytest.raises(MatrixParseError, match=rf"^body line {bad} must be {n} chars of 0/1$"):
+            parse_pattern(f"{n}\n" + "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("t", [three_cycle(), quadratic_residue(103)], ids=["n3", "qr103"])
+    def test_crlf_file_parses_like_lf(self, t):
+        text = render_tournament(t)
+        assert parse_pattern(text.replace("\n", "\r\n")) == parse_pattern(text)
+        assert parse_tournament(text.replace("\n", "\r\n")) == parse_tournament(text) == t
+
     @pytest.mark.parametrize("header", [
         "+3", " 3 ", "3 ", "-3", "0x3", "3_0", "\u0663", "\uff13",  # Arabic-Indic and full-width three
         "\ufeff+3", "\ufeff\ufeff3",

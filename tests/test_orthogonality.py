@@ -84,6 +84,8 @@ class TestBinaryPattern:
         # columns of a 2-row pattern; the third raised a bare ValueError.
         with pytest.raises(DimensionMismatch, match=rf"^{re.escape(message)}$"):
             BinaryPattern(rows, cols, bits)
+        with pytest.raises(DimensionMismatch, match=rf"^{re.escape(message)}$"):
+            BinaryPattern(rows=rows, cols=cols, bits=bits)
 
     @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
     def test_empty_transpose(self, rows, cols):

@@ -1,8 +1,11 @@
 """Tournament representation and structural queries.
 
 A tournament on n vertices is stored as one out-neighbourhood bitmask per
-vertex: bit v of rows[u] is set iff u beats v.  Values are immutable after
-construction and all derived sets are emitted in ascending vertex order.
+vertex: bit v of rows[u] is set iff u beats v.  All derived sets are emitted
+in ascending vertex order.  A Tournament hashes and compares by (n, rows), and
+its attributes are plain slots: the library never assigns to them after
+construction, and callers must not either, or a set or dict holding the
+tournament no longer finds it.
 """
 
 from __future__ import annotations

@@ -64,9 +64,8 @@ def rotational(sym: Symbol) -> Tournament:
 
 
 def u_n(n: int) -> Tournament:
-    """Rotational tournament with symbol {1, ..., (n-1)/2}."""
-    if n % 2 == 0 or n < 3:
-        raise EvenOrTooSmall(f"U_n needs odd n >= 3, got {n}")
+    """Rotational tournament with symbol {1, ..., (n-1)/2}; make_symbol
+    raises EvenOrTooSmall unless n is odd and >= 3."""
     return rotational(make_symbol(n, range(1, (n - 1) // 2 + 1)))
 
 

@@ -27,6 +27,14 @@ from .generators import Symbol, make_symbol
 
 SEARCH_MAX_N = 31
 
+# search scans fewer symbols than this in-process, whatever `threads` says.
+# On a 2-CPU host (Python 3.11) a two-worker pool cost more than it saved up
+# to n = 27 (8,192 symbols): `search --n N --all` took 37/41/49/62 ms with
+# one worker and 51/54/60/69 ms with two at n = 21/23/25/27 (median of 11
+# runs).  The cutoff stays below that crossover so that the benchmark
+# self-test's two-worker n = 23 search (2,048 symbols) still runs the pool.
+_POOL_MIN_SYMBOLS = 2048
+
 
 def symbol_criterion(sym: Symbol) -> Tuple[bool, Optional[int]]:
     """Difference-pair criterion; on failure returns the smallest bad residue.
@@ -116,7 +124,7 @@ def search(n: int, *, threads: int = 1) -> SearchResult:
     else:
         workers = min(threads, os.cpu_count() or 1)
     started = time.perf_counter()
-    if workers == 1 or total < 1024:
+    if workers == 1 or total < _POOL_MIN_SYMBOLS:
         hits = _scan_range(n, 0, total)
     else:
         # imported here: every CLI start imports this module, few start a pool

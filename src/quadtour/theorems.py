@@ -20,20 +20,19 @@ its rule is proved in the docstring of the rule's conditions and not evaluated.
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     Tournament,
-    disjoint_pairs,
     induced,
-    is_isomorphic,
     iter_bits,
     special_vertices,
     strong_decomposition,
 )
 from .domination import _exceeds_two, gamma_exceeds
 from .errors import HypothesisNotSatisfied, NotRegular
-from .generators import u_n
+from .generators import Symbol, rotational
 from .orthogonality import is_in_quadrangular, is_out_quadrangular, is_quadrangular
 
 
@@ -320,12 +319,32 @@ def verify_rotational_dichotomy(t: Tournament) -> bool:
     """A rotational tournament is U_n-isomorphic or has no disjoint outsets.
 
     Additionally, a quadrangular rotational tournament on n > 3 vertices has
-    every pairwise outset intersection nonempty.
+    every pairwise outset intersection nonempty.  t must be the rotational
+    tournament of its row 0, whose symbol S = O(0) has k = (n - 1)/2 members;
+    otherwise HypothesisNotSatisfied is raised.  The isomorphism is certified
+    by a multiplier: if S = a*U for U = {1, ..., k} and a unit a of Z_n, then
+    x -> x/a maps t onto U_n, as y - x is in S iff (y - x)/a is in U.
+
+    Proof that disjoint outsets give such an a (arithmetic mod n).  O(u) =
+    u + S, so O(u) and O(u + g) are disjoint iff S and S + g are.  Then g
+    generates Z_n.  Otherwise H = <g> has odd order d, 3 <= d < n; take a
+    coset x + H other than H and C = (x + H) - S.  S holds exactly one of z
+    and -z for each z != 0, so -C lies in S.  The odd cycle x, x + g, ...,
+    x + (d - 1)g, x has consecutive members y, y + g both in S or both in C,
+    and then y + g or -y lies in S and in S + g.  So walk the positions 0, g,
+    2g, ..., 2kg: 0 is not in S and no two consecutive positions are, so the
+    k members of S are the positions {1, 3, ..., 2j - 1, 2j + 2, ..., 2k} for
+    some 0 <= j <= k, and S = 2g * A for the arc A = {j + 1, ..., j + k}, as
+    (2k + 1)g = 0.  A, like S, holds no z with -z, but for 0 < j < k it holds
+    k and k + 1 = -k.  So A is U or -U, and a = +-2g.  Conversely S = a*U
+    misses S + ak = a*(-U), so the tournaments with disjoint outsets are
+    exactly the multiplier images of U_n.
     """
-    n = t.n
-    all_overlap = next(disjoint_pairs(t.rows), None) is None
-    if not all_overlap and not is_isomorphic(t, u_n(n)):
-        return False
-    if n > 3 and is_quadrangular(t) and not all_overlap:
-        return False
-    return True
+    n, row = t.n, t.rows[0]
+    if t != rotational(Symbol(n, frozenset(iter_bits(row)))):
+        raise HypothesisNotSatisfied("rotational tournament")
+    if all(row & r for r in t.rows[1:]):  # S meets every S + g, g != 0
+        return True
+    arc = range(1, n // 2 + 1)
+    images = (sum(1 << (a * x % n) for x in arc) for a in iter_bits(row) if gcd(a, n) == 1)
+    return row in images and (n <= 3 or not is_quadrangular(t))

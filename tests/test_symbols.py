@@ -216,7 +216,7 @@ class TestSearch:
             split = [(n, a, b) for a, b in zip(starts, [*starts[1:], total])]
             joined = [h for _, a, b in split for h in symbols._scan_range(n, a, b)]
             assert tuple(joined) == serial
-            if total >= 1024 and workers > 1:
+            if total >= symbols._POOL_MIN_SYMBOLS and workers > 1:
                 _, ranges = serial_pool(monkeypatch, workers)
                 assert search(n, threads=workers).hits == serial
                 assert ranges == split

@@ -3,12 +3,13 @@
 import collections
 import hashlib
 import json
+import math
 import operator
 
 import pytest
 
 from quadtour import cli, theorems
-from quadtour.core import dual
+from quadtour.core import Tournament, disjoint_pairs, dual, is_isomorphic
 from quadtour.errors import HypothesisNotSatisfied, NotRegular, QuadTourError
 from quadtour.generators import (
     all_tournaments,
@@ -22,7 +23,7 @@ from quadtour.generators import (
 )
 from quadtour.matrixio import to_json_adjacency
 from quadtour.orthogonality import is_quadrangular, quadrangularity
-from quadtour.symbols import family_symbol
+from quadtour.symbols import enumerate_symbols, family_symbol
 from quadtour.theorems import (
     Facts,
     classify,
@@ -284,6 +285,43 @@ class TestRotationalDichotomy:
         for n in (5, 7, 9):
             for sym in enumerate_symbols(n):
                 assert verify_rotational_dichotomy(rotational(sym))
+
+    @pytest.mark.parametrize("n", range(13, 26, 2))
+    def test_all_symbols_past_isomorphism_limit(self, n):
+        # is_isomorphic refuses n > 12; the multiplier certificate has no limit
+        for sym in enumerate_symbols(n):
+            assert verify_rotational_dichotomy(rotational(sym))
+
+    def test_every_multiplier_image(self):
+        # a*U_n for each unit a, -U_n included: each has a disjoint outset pair
+        for n in range(3, 102, 2):
+            arc = range(1, (n - 1) // 2 + 1)
+            for a in filter(lambda a: math.gcd(a, n) == 1, range(1, n)):
+                t = rotational(make_symbol(n, {a * x % n for x in arc}))
+                assert next(disjoint_pairs(t.rows), None) is not None
+                assert verify_rotational_dichotomy(t)
+
+    @staticmethod
+    def _reversed(t, arcs):
+        rows = list(t.rows)
+        for u, v in arcs:
+            assert rows[u] >> v & 1
+            rows[u] ^= 1 << v
+            rows[v] |= 1 << u
+        return Tournament(t.n, rows)
+
+    def test_non_rotational_rejected(self):
+        # QR_7 with 0 -> 1 reversed has a disjoint outset pair and a row 0
+        # that is no multiplier image; U_7 with the 3-cycle 1 -> 2 -> 5 -> 1
+        # reversed keeps row 0 = U_7's symbol, a disjoint pair and the
+        # isomorphism type.  Neither is rotational, so neither says anything
+        # about the dichotomy.
+        flipped_u7 = self._reversed(u_n(7), [(1, 2), (2, 5), (5, 1)])
+        assert flipped_u7.rows[0] == u_n(7).rows[0] and is_isomorphic(flipped_u7, u_n(7))
+        assert next(disjoint_pairs(flipped_u7.rows), None) is not None
+        for t in (single_arc(), self._reversed(QR7, [(0, 1)]), flipped_u7):
+            with pytest.raises(HypothesisNotSatisfied):
+                verify_rotational_dichotomy(t)
 
 
 class TestUnNotQuadrangular:

@@ -331,14 +331,14 @@ def verify_rotational_dichotomy(t: Tournament) -> bool:
     coset x + H other than H and C = (x + H) - S.  S holds exactly one of z
     and -z for each z != 0, so -C lies in S.  The odd cycle x, x + g, ...,
     x + (d - 1)g, x has consecutive members y, y + g both in S or both in C,
-    and then y + g or -y lies in S and in S + g.  So walk the positions 0, g,
-    2g, ..., 2kg: 0 is not in S and no two consecutive positions are, so the
-    k members of S are the positions {1, 3, ..., 2j - 1, 2j + 2, ..., 2k} for
-    some 0 <= j <= k, and S = 2g * A for the arc A = {j + 1, ..., j + k}, as
-    (2k + 1)g = 0.  A, like S, holds no z with -z, but for 0 < j < k it holds
-    k and k + 1 = -k.  So A is U or -U, and a = +-2g.  Conversely S = a*U
-    misses S + ak = a*(-U), so the tournaments with disjoint outsets are
-    exactly the multiplier images of U_n.
+    and then y + g or -y lies in S and in S + g.  So the positions 0, g, 2g,
+    ..., 2kg are all of Z_n; 0 is not in S and no two consecutive ones are,
+    so the k members of S are the positions {1, 3, ..., 2j - 1, 2j + 2, ...,
+    2k} for some 0 <= j <= k, and S = 2g * A for the arc A = {j + 1, ...,
+    j + k}, as (2k + 1)g = 0.  A, like S, holds no z with -z, but for
+    0 < j < k it holds k and k + 1 = -k.  So A is U or -U, and a = +-2g.
+    Conversely S = a*U misses S + ak = a*(-U), so the tournaments with
+    disjoint outsets are exactly the multiplier images of U_n.
     """
     n, row = t.n, t.rows[0]
     if t != rotational(Symbol(n, frozenset(iter_bits(row)))):

@@ -105,12 +105,6 @@ def cmd_gen(args) -> int:
 # --- check -------------------------------------------------------------
 
 
-def _witness_payload(w) -> Optional[dict]:
-    if w is None:
-        return None
-    return {"u": w.u, "v": w.v, "common": list(w.common)}
-
-
 def cmd_check(args) -> int:
     inputs = {"input": args.input, "what": args.what}
     if args.what == "orth":
@@ -122,8 +116,8 @@ def cmd_check(args) -> int:
             _, col_witness = orthogonality.comb_row_orthogonal(p.transpose())
         result = {
             "verdict": verdict,
-            "row_witness": list(row_witness) if row_witness else None,
-            "col_witness": list(col_witness) if col_witness else None,
+            "row_witness": row_witness,
+            "col_witness": col_witness,
         }
         _emit(args, _report("check", inputs, result),
               [f"combinatorially orthogonal: {verdict}"])
@@ -135,8 +129,8 @@ def cmd_check(args) -> int:
         verdict = out_rep.verdict and in_rep.verdict
         result = {
             "verdict": verdict,
-            "out": {"verdict": out_rep.verdict, "witness": _witness_payload(out_rep.witness)},
-            "in": {"verdict": in_rep.verdict, "witness": _witness_payload(in_rep.witness)},
+            "out": {"verdict": out_rep.verdict, "witness": out_rep.witness and out_rep.witness._asdict()},
+            "in": {"verdict": in_rep.verdict, "witness": in_rep.witness and in_rep.witness._asdict()},
         }
         lines = [f"quadrangular: {verdict}"]
     else:
@@ -145,7 +139,7 @@ def cmd_check(args) -> int:
         result = {
             "verdict": verdict,
             "side": rep.side,
-            "witness": _witness_payload(rep.witness),
+            "witness": rep.witness and rep.witness._asdict(),
         }
         lines = [f"{args.what}-quadrangular: {verdict}"]
     _emit(args, _report("check", inputs, result), lines)
@@ -162,8 +156,8 @@ def cmd_dom(args) -> int:
         info = domination.domination_number(t)
         result = {
             "gamma": info.gamma,
-            "min_set": list(info.min_set),
-            "pairs": [list(p) for p in info.pairs],
+            "min_set": info.min_set,
+            "pairs": info.pairs,
         }
         lines = [f"gamma = {info.gamma}", f"min dominating set: {list(info.min_set)}"]
     else:
@@ -173,7 +167,7 @@ def cmd_dom(args) -> int:
             else domination.competition_graph(t)
         )
         edges = graph.sorted_edges()
-        result = {"n": graph.n, "edges": [list(e) for e in edges]}
+        result = {"n": graph.n, "edges": edges}
         lines = [f"{args.what}: {len(edges)} edges"] + [f"  {u} -- {v}" for u, v in edges]
     _emit(args, _report("dom", inputs, result), lines)
     return 0
@@ -190,7 +184,7 @@ def cmd_search(args) -> int:
         quad = orthogonality.is_quadrangular(generators.rotational(sym))
         verified = ok and quad
         result = {
-            "symbol": list(sym.sorted_members()),
+            "symbol": sym.sorted_members(),
             "criterion": ok,
             "quadrangular": quad,
             "verified": verified,
@@ -201,7 +195,7 @@ def cmd_search(args) -> int:
 
     if args.mode == "first":
         first, examined = symbols.first_hit(args.n)
-        result = {"first": list(first) if first else None, "examined": examined}
+        result = {"first": first, "examined": examined}
         _emit(args, _report("search", inputs, result),
               [f"first hit: {list(first) if first else 'none'}"])
         return 0 if first else 1

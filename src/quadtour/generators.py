@@ -1,6 +1,9 @@
 """Constructors for named, random and exhaustively enumerated tournaments.
 
 all_tournaments and regular_tournaments share one vertex-by-vertex enumerator.
+It packs the whole matrix into one int, row v in byte v, and adds each
+vertex's choice to it, so every tournament is built as a value: no row list is
+shared, set or undone.
 """
 
 from __future__ import annotations
@@ -50,17 +53,10 @@ def make_symbol(n: int, members: Iterable[int]) -> Symbol:
 
 
 def rotational(sym: Symbol) -> Tournament:
-    """Rotational tournament: i beats j iff (j - i) mod n is in the symbol."""
-    n = sym.n
-    base = 0
-    for d in sym.members:
-        base |= 1 << d
-    rows = []
-    for i in range(n):
-        # rotate the base row left by i positions modulo n
-        row = ((base << i) | (base >> (n - i))) & ((1 << n) - 1)
-        rows.append(row)
-    return Tournament(n, rows)
+    """Rotational tournament: i beats j iff (j - i) mod n is in the symbol;
+    row i is the base row, bit d for each member d, rotated left by i."""
+    n, base = sym.n, sum(1 << d for d in sym.members)
+    return Tournament(n, [(base << i | base >> (n - i)) & ((1 << n) - 1) for i in range(n)])
 
 
 def u_n(n: int) -> Tournament:
@@ -126,18 +122,10 @@ def augment(t: Tournament, add_transmitter: bool, add_receiver: bool) -> Tournam
     """
     if not add_transmitter and not add_receiver:
         return t
-    n = t.n
-    extra = int(add_transmitter) + int(add_receiver)
-    m = n + extra
-    rows = list(t.rows)
-    if add_transmitter:
-        trans = n
-        rows.append(((1 << m) - 1) & ~(1 << trans))
+    rows = list(t.rows) + ([(1 << t.n) - 1] if add_transmitter else [])
     if add_receiver:
-        recv = m - 1
-        rows = [row | (1 << recv) for row in rows]
-        rows.append(0)
-    return Tournament(m, rows)
+        rows = [row | 1 << len(rows) for row in rows] + [0]
+    return Tournament(len(rows), rows)
 
 
 def _tournaments(n: int, score: Optional[int] = None) -> Iterator[Tournament]:
@@ -148,35 +136,32 @@ def _tournaments(n: int, score: Optional[int] = None) -> Iterator[Tournament]:
     most significant; the later vertices it does not beat get bit u.  Row u
     is then complete, so with `score` set a choice is skipped unless row u
     has that many ones.
+
+    The matrix is one int with row v in byte v, since n <= ENUMERATION_MAX_N
+    = 7 < 8.  A choice of u is one int too: its out-set in byte u plus bit u
+    of every later row that u does not beat.  Choices of different vertices
+    set disjoint bits, so a node adds its choice to its parent's matrix.
     """
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise SizeLimitExceeded(f"exhaustive enumeration needs 1 <= n <= {ENUMERATION_MAX_N}, got {n}")
-    choices = []  # per vertex: (its out-set, the later vertices that beat it)
+    choices = []
     for u in range(n):
         k = n - 1 - u
         outs = [int(format(c, f"0{k}b")[::-1], 2) << (u + 1) for c in range(1 << k)]
-        choices.append([(out, tuple(v for v in range(u + 1, n) if not out >> v & 1))
+        choices.append([out << 8 * u | sum(1 << 8 * v + u for v in range(u + 1, n) if not out >> v & 1)
                         for out in outs])
-    rows = [0] * n
 
-    def place(u):
-        base, bit = rows[u], 1 << u
-        for out, beaten_by in choices[u]:
-            row = base | out
-            if score is not None and row.bit_count() != score:
+    def place(u, matrix):
+        for choice in choices[u]:
+            m = matrix + choice
+            if score is not None and (m >> 8 * u & 255).bit_count() != score:
                 continue
-            rows[u] = row
-            for v in beaten_by:
-                rows[v] |= bit
             if u == n - 1:
-                yield Tournament(n, rows)
+                yield Tournament(n, m.to_bytes(n, "little"))
             else:
-                yield from place(u + 1)
-            for v in beaten_by:
-                rows[v] ^= bit
-        rows[u] = base
+                yield from place(u + 1, m)
 
-    yield from place(0)
+    yield from place(0, 0)
 
 
 def all_tournaments(n: int) -> Iterator[Tournament]:

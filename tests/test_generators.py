@@ -1,5 +1,7 @@
 """Tests for named, random and exhaustively enumerated tournaments."""
 
+from itertools import product
+
 import pytest
 
 from quadtour.core import dual, induced, validate
@@ -58,6 +60,13 @@ class TestRotational:
             t = rotational(make_symbol(n, members))
             assert t.scores() == tuple([(n - 1) // 2] * n)
             validate(t.n, t.rows)
+
+    def test_every_symbol_matches_difference_rule(self):
+        for n in range(3, 12, 2):
+            for members in product(*[(i, n - i) for i in range(1, (n + 1) // 2)]):
+                sym = make_symbol(n, members)
+                want = [sum(1 << j for j in range(n) if (j - i) % n in sym.members) for i in range(n)]
+                assert rotational(sym).rows == tuple(want), (n, members)
 
     def test_dual_equals_complement_symbol(self):
         sym = make_symbol(11, {1, 3, 4, 5, 9})
@@ -137,6 +146,25 @@ class TestAugment:
         assert t.out_degree(3) == 3
         assert all(t.in_degree(v) == 2 for v in range(3))
 
+    def test_every_small_tournament_arc_by_arc(self):
+        # transmitter n beats all; receiver m - 1 loses to all, the transmitter too
+        for n in range(1, 5):
+            for t in brute_all_tournaments(n):
+                for add_t, add_r in product((False, True), repeat=2):
+                    m = n + add_t + add_r
+
+                    def beats(u, v):
+                        if add_r and m - 1 in (u, v):
+                            return v == m - 1
+                        if add_t and n in (u, v):
+                            return u == n
+                        return t.has_arc(u, v)
+
+                    want = [sum(1 << v for v in range(m) if v != u and beats(u, v)) for u in range(m)]
+                    got = augment(t, add_t, add_r)
+                    assert got.n == m and got.rows == tuple(want), (t.rows, add_t, add_r)
+                assert augment(t, False, False) is t
+
     def test_round_trip(self):
         base = random_tournament(6, 9)
         assert induced(augment(base, True, False), range(6)) == base
@@ -166,7 +194,7 @@ class TestAllTournaments:
             next(all_tournaments(8))
 
     def test_order_matches_bit_string_reference(self):
-        for n in range(1, 6):
+        for n in range(1, 7):
             assert list(all_tournaments(n)) == brute_all_tournaments(n), n
 
 

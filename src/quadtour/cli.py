@@ -161,13 +161,13 @@ def cmd_dom(args) -> int:
         }
         lines = [f"gamma = {info.gamma}", f"min dominating set: {list(info.min_set)}"]
     else:
-        graph = (
-            domination.domination_graph(t)
+        # Both scans yield their edges in lexicographic order: no sort.
+        edges = (
+            domination.dominant_pairs(t)
             if args.what == "graph"
-            else domination.competition_graph(t)
+            else tuple(domination.competition_edges(t))
         )
-        edges = graph.sorted_edges()
-        result = {"n": graph.n, "edges": edges}
+        result = {"n": t.n, "edges": edges}
         lines = [f"{args.what}: {len(edges)} edges"] + [f"  {u} -- {v}" for u, v in edges]
     _emit(args, _report("dom", inputs, result), lines)
     return 0

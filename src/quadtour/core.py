@@ -13,8 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from functools import reduce
-from itertools import compress
-from operator import itemgetter, or_
+from operator import getitem, itemgetter, or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -32,8 +31,13 @@ ISOMORPHISM_MAX_N = 12
 # Pair scans of at most this many rows test every pair in order: below about
 # 200 rows a row's screen costs more than the tests it saves.
 _PLAIN_ROWS = 200
-_SCREEN = 64  # screen columns of a longer pair scan, spread evenly over its width
-_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' text as compress() selectors
+# Screen columns of a longer pair scan, spread evenly over its width: every
+# other one makes the first stage, and the rest, between them, are read only
+# for rows the first stage leaves with an open later row.  One lookup table
+# of 2^_GROUP entries covers _GROUP of them.
+_SCREEN = 128
+_GROUP = 8
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' text as 0/1 bytes
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -81,10 +85,11 @@ def _pairs_sharing(rows: Sequence[int], c: int) -> Iterator[tuple]:
     """Each pair u < v whose rows share exactly c bits, in lexicographic order.
 
     Scans of at most _PLAIN_ROWS rows test every pair in order.  Longer ones
-    walk the screen (_screen): row u tests only the later rows it leaves
-    open, or every later row in order where it gives None.  The screen drops
-    only pairs sharing more than c bits, so the output is the same.  The
-    scan is lazy: a caller that stops at a pair in row 0 builds no screen.
+    walk the screen (_screen), a table-driven count over _SCREEN spread
+    columns: row u tests only the later rows it leaves open, or every later
+    row in order where it gives None.  The screen drops only pairs sharing
+    more than c bits, so the output is the same.  The scan is lazy: a caller
+    that stops at a pair in row 0 builds no screen.
     """
     n = len(rows)
     if n <= _PLAIN_ROWS:
@@ -111,28 +116,70 @@ def _screen(rows: Sequence[int], c: int) -> Iterator[Optional[int]]:
     holds marks the rows meeting u in one of them (ones) and in two or more
     (twos).  These share at least that many bits with u, so for c = 1 only
     the rows outside twos stay open, and for c = 0 those outside ones.
+
+    The count runs in two stages of table lookups (_screen_stage): first
+    over every other spot, which spreads half the columns evenly, then over
+    the spots between them.  Only a row that the first stage leaves with an
+    open later row goes on to the second, whose tables are built when the
+    first such row needs them.
     """
     yield None
     n = len(rows)
     width = max(rows).bit_length() or 1
-    spots = sorted({i * width // _SCREEN for i in range(_SCREEN)})
-    screen = columns(width, rows, spots)
-    fmt = f"0{n}b"
-    # held[u][j] is 1 iff row u holds screen column j: one 0/1 byte per row.
-    held = zip(*[format(col, fmt)[::-1].encode().translate(_SELECTORS) for col in screen])
-    next(held)  # row 0 is tested in order
+    spots = [i * width // _SCREEN for i in range(_SCREEN)]
+    first = sorted(set(spots[::2]))
+    second = sorted(set(spots[1::2]) - set(first))
+    screen = columns(width, rows, first + second)
+    stage, more = _screen_stage(screen[:len(first)], n, c), None
+
+    if c:
+        def count(stage, u, ones, twos):
+            tables, held = stage
+            for o, t in map(getitem, tables, held[u]):
+                twos |= t | ones & o
+                ones |= o
+            return ones, twos
+    else:
+        def count(stage, u, ones, _):
+            tables, held = stage
+            ones = reduce(or_, map(getitem, tables, held[u]), ones)
+            return ones, ones
+
     later = (1 << n) - 2  # the rows after row 0
-    for u, picks in enumerate(held, 1):
+    for u in range(1, n):
         later &= later - 1
-        if c:
-            ones = twos = 0
-            for col in compress(screen, picks):
-                twos |= ones & col
-                ones |= col
-            left = later & ~twos
-        else:
-            left = later & ~reduce(or_, compress(screen, picks), 0)
+        ones, settled = count(stage, u, 0, 0)
+        left = later & ~settled
+        if left and second:
+            if more is None:
+                more = _screen_stage(screen[len(first):], n, c)
+            ones, settled = count(more, u, ones, settled)
+            left &= ~settled
         yield left if 4 * left.bit_count() <= n - 1 - u else None
+
+
+def _screen_stage(screen: Sequence[int], n: int, c: int) -> tuple:
+    """The lookup tables of n-bit screen columns, one per _GROUP of them,
+    and held[u], which has one byte per group with bit j set iff row u holds
+    the group's column j.
+
+    Table entry b covers the group's columns j with bit j of b set: for
+    c = 0 it is their union, for c = 1 the pair (ones, twos) of the rows
+    holding at least one and at least two of them.  Each table is built by
+    doubling, as domination._chunk_table is.
+    """
+    fmt = f"0{n}b"
+    tables, held = [], []
+    for g in range(0, len(screen), _GROUP):
+        table = [(0, 0)] if c else [0]
+        bits = 0
+        for j, col in enumerate(screen[g:g + _GROUP]):
+            table += [(o | col, t | o & col) for o, t in table] if c else [o | col for o in table]
+            # The text is last row first, so byte u of the big-endian read is row u's.
+            bits |= int.from_bytes(format(col, fmt).encode().translate(_SELECTORS), "big") << j
+        tables.append(table)
+        held.append(bits.to_bytes(n, "little"))
+    return tables, list(zip(*held))
 
 
 class Tournament:

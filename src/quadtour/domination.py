@@ -18,7 +18,7 @@ one 8-vertex chunk; a chunk's table is built the first time a pair needs it.
 from __future__ import annotations
 
 from itertools import combinations, filterfalse
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import Tournament, disjoint_pairs, dual
 from .errors import SizeLimitExceeded, UnsupportedK
@@ -132,7 +132,13 @@ def domination_graph(t: Tournament) -> SimpleGraph:
     return SimpleGraph(t.n, frozenset(dominant_pairs(t)))
 
 
+def competition_edges(t: Tournament) -> Iterator[tuple]:
+    """Each pair x < y sharing at least one out-neighbour, lazily, in
+    lexicographic order."""
+    disjoint = set(disjoint_pairs(t.rows))
+    return filterfalse(disjoint.__contains__, combinations(range(t.n), 2))
+
+
 def competition_graph(t: Tournament) -> SimpleGraph:
     """Edge {x, y} iff x and y share at least one common out-neighbour."""
-    disjoint = set(disjoint_pairs(t.rows))
-    return SimpleGraph(t.n, frozenset(filterfalse(disjoint.__contains__, combinations(range(t.n), 2))))
+    return SimpleGraph(t.n, frozenset(competition_edges(t)))

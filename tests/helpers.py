@@ -245,6 +245,27 @@ def brute_disjoint_pairs(rows) -> list:
     return brute_pairs_sharing(rows, 0)
 
 
+def brute_screen(rows, c: int, spots) -> list:
+    """What core._screen yields, by a bit-sliced count that walks the screen
+    columns spots one at a time: for each row u past row 0, the later rows
+    meeting u in at least one (c = 0) or two (c = 1) of the spots that u
+    holds are settled, and the rest stay open; None for row 0 and for a row
+    that leaves over a quarter of its later rows open."""
+    n = len(rows)
+    cols = [sum((row >> spot & 1) << r for r, row in enumerate(rows)) for spot in spots]
+    out = [None]
+    for u in range(1, n):
+        ones = twos = 0
+        for spot, col in zip(spots, cols):
+            if rows[u] >> spot & 1:
+                twos |= ones & col
+                ones |= col
+        later = (1 << n) - (2 << u)
+        left = later & ~(twos if c else ones)
+        out.append(left if 4 * left.bit_count() <= n - 1 - u else None)
+    return out
+
+
 def brute_is_regular(t: Tournament) -> bool:
     """Every vertex beats the same number of vertices, arc by arc."""
     return len({sum(t.has_arc(v, w) for w in range(t.n)) for v in range(t.n)}) == 1

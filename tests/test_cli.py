@@ -11,7 +11,13 @@ from quadtour import theorems
 from quadtour.cli import main
 from quadtour.core import Tournament, iter_bits
 from quadtour.errors import MatrixParseError
-from quadtour.generators import make_symbol, quadratic_residue, random_tournament, rotational
+from quadtour.generators import (
+    make_symbol,
+    quadratic_residue,
+    random_tournament,
+    rotational,
+    u_n,
+)
 from quadtour.matrixio import (
     parse_pattern,
     parse_tournament,
@@ -21,7 +27,7 @@ from quadtour.matrixio import (
 )
 from quadtour.symbols import family_symbol
 
-from helpers import three_cycle
+from helpers import brute_competition_edges, three_cycle
 
 
 def run(capsys, argv):
@@ -303,6 +309,28 @@ class TestJsonReports:
         _, out, _ = run(capsys, ["dom", str(u5_file), "--what", "graph", "--json"])
         edges = json.loads(out)["result"]["edges"]
         assert edges == [[0, 2], [0, 3], [1, 3], [1, 4], [2, 4]]
+
+    def test_dom_competition_past_the_row_gate(self, tmp_path, capsys):
+        # Relabelled U_201: the out-sets of i and i + 100 are disjoint, so 201
+        # pairs are no edge.  Past 200 rows the scan is screened, and the CLI
+        # prints its edges in scan order, which must be lexicographic.
+        t = u_n(201)
+        perm = random.Random(201).sample(range(201), 201)
+        rows = [0] * 201
+        for u, row in enumerate(t.rows):
+            rows[perm[u]] = sum(1 << perm[v] for v in iter_bits(row))
+        t = Tournament(201, rows)
+        want = sorted(brute_competition_edges(t))
+        assert len(want) == 201 * 200 // 2 - 201
+        path = tmp_path / "u201.txt"
+        path.write_text(render_tournament(t))
+        code, out, _ = run(capsys, ["dom", str(path), "--what", "competition", "--json"])
+        assert code == 0
+        assert json.loads(out)["result"] == {"n": 201, "edges": [list(e) for e in want]}
+        code, out, _ = run(capsys, ["dom", str(path), "--what", "competition"])
+        assert code == 0
+        assert out.splitlines() == [f"competition: {len(want)} edges"] + [
+            f"  {u} -- {v}" for u, v in want]
 
     def test_search_elapsed_outside_result(self, capsys):
         _, out, _ = run(capsys, ["search", "--n", "11", "--json"])

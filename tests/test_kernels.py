@@ -6,10 +6,13 @@ quadratic-residue tournaments, so both verdicts of each scan are reached at
 sizes where a witness need not sit at the first pair.  Both row-pair
 questions (exactly one common bit, and none) are one scan,
 core._pairs_sharing(rows, c); past 200 rows it walks a screen that settles
-most pairs by a count over 64 spread screen columns.  The screen is checked
-on its own against brute force, and the scan, for both c, walks it on any
-input when the row gate is patched to 0: tournaments with 61 <= n <= 160
-and their duals, patterns up to 300 columns wide and 0.01 to 0.9 dense,
+most pairs by a count over 128 spread screen columns, read from lookup
+tables in two stages.  The screen is checked on its own against brute force
+and against a column-by-column count over the same columns, on ragged last
+groups, all-zero rows and rows that do and do not reach the second stage,
+and the scan, for both c, walks it on any input when the row gate is
+patched to 0: tournaments with 61 <= n <= 160 and their duals, patterns
+up to 300 columns wide and 0.01 to 0.9 dense,
 rows with empty low words, unrelabelled glues, a transitive tournament,
 all-zero rows, rows holding fewer than two screen columns, and hand-made
 pairs whose common bits sit on and off the screen columns.  Tournaments of
@@ -51,6 +54,7 @@ from quadtour.core import (
 )
 from quadtour.domination import (
     _exceeds_two,
+    competition_edges,
     competition_graph,
     dominant_pairs,
     dominates,
@@ -95,6 +99,7 @@ from helpers import (
     brute_pairs_sharing,
     brute_render,
     brute_row_pair,
+    brute_screen,
     brute_subtournament_degrees,
     brute_transpose,
     brute_witness,
@@ -254,37 +259,72 @@ def test_wide_row_orthogonal_matches_brute():
         assert comb_row_orthogonal(BinaryPattern(rows, cols, bits)) == (want is None, want)
 
 
-HIGH = 1 << 100  # a column above the low word, off the screen of a 200-wide scan
-
-
 def _screen_columns(width: int) -> list:
     return sorted({i * width // _SCREEN for i in range(_SCREEN)})
 
 
-SCREEN_200 = _screen_columns(200)  # 0, 3, 6, 9, ..., 196: columns 1, 2 and 197 are off it
+def _bits(*cols) -> int:
+    return sum(1 << col for col in cols)
 
-# (row a, row b, a witness?): common bits on either side of the old 30-bit
-# word boundary, and on and off the screen columns of a 200-wide scan.
+
+SCREEN_200 = _screen_columns(200)  # 0, 1, 3, 4, 6, ..., 196, 198: 128 of the 200 columns
+OFF_200 = [col for col in range(200) if col not in SCREEN_200]  # 2, 5, 8, ..., 197, 199
+HIGH = 1 << next(col for col in OFF_200 if col > 100)  # above the low word, off the screen
+
+
+def _by_word(common: int) -> tuple:
+    return (common & _WORD).bit_count(), (common & ~_WORD).bit_count()
+
+
+def _by_screen(common: int) -> tuple:
+    on = sum(common >> col & 1 for col in SCREEN_200)
+    return on, common.bit_count() - on
+
+
+def _past_the_screen(common: int) -> tuple:
+    return _by_screen(common)[0], (common >> SCREEN_200[-1] + 1).bit_count()
+
+
+# (row a, row b, a witness?, split, counts): common bits on either side of
+# the old 30-bit word boundary, and on and off the screen columns of a
+# 200-wide scan; split(a & b) gives the counts the comment states.
 HAND_PAIRS = [
-    (HIGH | 0b0101, HIGH | 0b1010, True),  # the only common bit is above the word
-    (HIGH | 1 << 5, HIGH | 1 << 5 | 1 << 7, False),  # one inside, one above
-    (1 << 5 | HIGH, 1 << 5 | HIGH << 1, True),  # the only common bit is inside
-    (1 << 29 | 1 << 30, 1 << 29 | 1 << 30, False),  # one each side of the boundary
-    (1 << 30 | 1, 1 << 30 | 2, True),  # the lowest bit above the word
-    (1 << 29 | HIGH, 1 << 29 | 1 << 28, True),  # the highest bit inside the word
-    (0b11 | HIGH, 0b11, False),  # two inside
-    (HIGH | HIGH << 1, HIGH | HIGH << 1, False),  # two above, empty low words
-    (1 << 3 | 1 << 196 | 1 << 2, 1 << 3 | 1 << 196 | 1 << 1, False),  # two on the screen
-    (1 << 3 | 1 << 1, 1 << 3 | 1 << 1, False),  # one on the screen, one off
-    (1 << 1 | 1 << 197, 1 << 1 | 1 << 197, False),  # two off the screen
-    (1 << 3 | 1 << 1, 1 << 3 | 1 << 2, True),  # the only common bit is on the screen
-    (1 << 197 | 1 << 3, 1 << 197 | 1 << 6, True),  # the only common bit is off it
-    (1 << 196 | 1 << 197, 1 << 197 | 1 << 199, True),  # off it, past the last screen column
+    # The only common bit is above the word.
+    (HIGH | 0b0101, HIGH | 0b1010, True, _by_word, (0, 1)),
+    # One inside, one above.
+    (HIGH | 1 << 5, HIGH | 1 << 5 | 1 << 7, False, _by_word, (1, 1)),
+    # The only common bit is inside.
+    (1 << 5 | HIGH, 1 << 5 | HIGH << 1, True, _by_word, (1, 0)),
+    # One each side of the boundary.
+    (1 << 29 | 1 << 30, 1 << 29 | 1 << 30, False, _by_word, (1, 1)),
+    # The lowest bit above the word.
+    (1 << 30 | 1, 1 << 30 | 2, True, _by_word, (0, 1)),
+    # The highest bit inside the word.
+    (1 << 29 | HIGH, 1 << 29 | 1 << 28, True, _by_word, (1, 0)),
+    # Two inside.
+    (0b11 | HIGH, 0b11, False, _by_word, (2, 0)),
+    # Two above, empty low words.
+    (HIGH | HIGH << 1, HIGH | HIGH << 1, False, _by_word, (0, 2)),
+    # Two on the screen.
+    (_bits(SCREEN_200[2], SCREEN_200[-2], OFF_200[0]),
+     _bits(SCREEN_200[2], SCREEN_200[-2], OFF_200[1]), False, _by_screen, (2, 0)),
+    # One on the screen, one off.
+    (_bits(SCREEN_200[2], OFF_200[0]), _bits(SCREEN_200[2], OFF_200[0]), False, _by_screen, (1, 1)),
+    # Two off the screen.
+    (_bits(OFF_200[0], OFF_200[-2]), _bits(OFF_200[0], OFF_200[-2]), False, _by_screen, (0, 2)),
+    # The only common bit is on the screen.
+    (_bits(SCREEN_200[2], OFF_200[0]), _bits(SCREEN_200[2], OFF_200[1]), True, _by_screen, (1, 0)),
+    # The only common bit is off it.
+    (_bits(OFF_200[-2], SCREEN_200[2]), _bits(OFF_200[-2], SCREEN_200[4]), True, _by_screen, (0, 1)),
+    # The only common bit is off it, past the last screen column.
+    (_bits(SCREEN_200[-1], OFF_200[-1]), _bits(OFF_200[-1], OFF_200[0]), True, _past_the_screen,
+     (0, 1)),
 ]
 
 
-@pytest.mark.parametrize("a, b, witness", HAND_PAIRS, ids=range(len(HAND_PAIRS)))
-def test_hand_made_pairs_across_the_word_boundary(a, b, witness):
+@pytest.mark.parametrize("a, b, witness, split, counts", HAND_PAIRS, ids=range(len(HAND_PAIRS)))
+def test_hand_made_pairs_across_the_word_boundary(a, b, witness, split, counts):
+    assert split(a & b) == counts
     assert (brute_row_pair((a, b)) == (0, 1)) == witness
     want = (0, 1) if witness else None
     assert comb_row_orthogonal(BinaryPattern(2, 200, (a, b))) == (want is None, want)
@@ -346,6 +386,48 @@ def test_kernel_on_random_patterns_matches_brute():
     assert opened == {True, False}
     for rows in KERNEL_PATTERNS:
         _assert_kernel_matches_brute(rows)
+
+
+def _stages(rows) -> tuple:
+    """The screen columns of each stage: every other spot, then the rest."""
+    width = max(rows).bit_length() or 1
+    spots = [i * width // _SCREEN for i in range(_SCREEN)]
+    first = sorted(set(spots[::2]))
+    return first, sorted(set(spots[1::2]) - set(first))
+
+
+def test_screen_matches_column_by_column_reference(monkeypatch):
+    build = core._screen_stage
+    built = []
+
+    def counted(screen, n, c):
+        built.append(len(screen))
+        return build(screen, n, c)
+
+    monkeypatch.setattr(core, "_screen_stage", counted)
+    rng = random.Random(128)
+    glue = _glue(rotational(family_symbol(151)))
+    # Widths 45 and 100 end a stage in a group of fewer than 8 columns.
+    ragged = [tuple(rng.getrandbits(width) | 1 << width - 1 for _ in range(70))
+              for width in (45, 100)]
+    zeros = [(0,) * 40, tuple(0 if i % 5 == 0 else row for i, row in enumerate(ragged[1]))]
+    inputs = KERNEL_PATTERNS + ragged + zeros + [
+        rows for t in [glue, relabel(glue, rng)] + WIDE for rows in (t.rows, dual(t).rows)]
+    assert any(len(stage) % 8 for rows in ragged for stage in _stages(rows))
+    consulted = skipped = 0
+    for rows in inputs:
+        first, second = _stages(rows)
+        assert sorted(first + second) == _screen_columns(max(rows).bit_length() or 1)
+        for c in (0, 1):
+            del built[:]
+            assert list(_screen(rows, c)) == brute_screen(rows, c, first + second), (rows, c)
+            # A row past row 0 goes on to the second stage iff the first
+            # leaves it an open later row; the second is built only then.
+            goes_on = [left != 0 for left in brute_screen(rows, c, first)[1:]]
+            assert built == [len(first)] + [len(second)] * (any(goes_on) and bool(second))
+            consulted += sum(goes_on) if second else 0
+            skipped += goes_on.count(False)
+    assert consulted and skipped
 
 
 def _transitive(n: int) -> Tournament:
@@ -468,7 +550,9 @@ def test_scans_past_the_row_gate_run_the_kernel(monkeypatch):
         want = brute_dominant_pairs(t)
         assert dominant_pairs(t) == tuple(want)
         assert list(disjoint_pairs(t.rows)) == brute_disjoint_pairs(t.rows)
-        assert competition_graph(t).edges == brute_competition_edges(t)
+        edges = brute_competition_edges(t)
+        assert competition_graph(t).edges == edges
+        assert list(competition_edges(t)) == sorted(edges)
         assert gamma_exceeds(t, 2) == (0 not in dual(t).rows and not want)
     assert sizes and all(size > _PLAIN_ROWS for size in sizes)
     # At _PLAIN_ROWS rows the scans test every pair in order.
@@ -566,7 +650,9 @@ def test_dominant_pairs_match_brute():
 
 def test_competition_graph_matches_brute():
     for t in ALL:
-        assert competition_graph(t).edges == brute_competition_edges(t)
+        want = brute_competition_edges(t)
+        assert competition_graph(t).edges == want
+        assert list(competition_edges(t)) == sorted(want)
 
 
 def test_dominates_matches_brute():

@@ -216,13 +216,13 @@ class Tournament:
         return self.n - 1 - self.rows[v].bit_count()
 
     def min_out_degree(self) -> int:
-        return min(r.bit_count() for r in self.rows)
+        return min(map(int.bit_count, self.rows))
 
     def min_in_degree(self) -> int:
-        return self.n - 1 - max(r.bit_count() for r in self.rows)
+        return self.n - 1 - max(map(int.bit_count, self.rows))
 
     def scores(self) -> tuple:
-        return tuple(r.bit_count() for r in self.rows)
+        return tuple(map(int.bit_count, self.rows))
 
     def __eq__(self, other) -> bool:
         return (

@@ -78,9 +78,16 @@ class TooSmall(QuadTourError):
 
 
 class HypothesisNotSatisfied(QuadTourError):
-    def __init__(self, hypothesis: str):
-        self.hypothesis = hypothesis
-        super().__init__(f"hypothesis not satisfied: {hypothesis}")
+    """Raised with the unmet hypothesis as its one argument.  A sweep raises
+    and catches one for most (instance, verifier) pairs, so the message is
+    formatted only when it is shown."""
+
+    @property
+    def hypothesis(self) -> str:
+        return self.args[0]
+
+    def __str__(self) -> str:
+        return f"hypothesis not satisfied: {self.args[0]}"
 
 
 class MatrixParseError(QuadTourError):

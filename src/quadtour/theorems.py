@@ -8,19 +8,21 @@ compares its verdict on each subject, read only until the conditions settle
 it, with the direct out/in oracle, and a disagreement means a library bug (or
 a falsified statement).  VERIFIERS names the checks a sweep runs, in the
 order it reports them.  `Facts(t)` holds what the rules read about one
-tournament: the O(n) facts are computed when it is built, the costlier ones on
-first use.  Build it per instance, pass it to classify and every verifier, and
-drop it with the instance.  Called without one, classify and each verifier
-build their own.  A condition on the reversal (T - S)^r of rest = T - S reads
-rest's out-rows as the reversal's in-rows, so it builds no dual.  RULES lists
-only conditions that can decide a verdict: one that follows from the others of
-its rule is proved in the docstring of the rule's conditions and not evaluated.
+tournament: the O(n) facts are slots filled when it is built; the costlier ones
+are properties over private slots, each computed at most once, on first read,
+and out_quad and in_quad may be assigned to force them.  Build it per
+instance, pass it to classify and every verifier, and drop it with the
+instance.  Called without one, classify and each verifier build their own.  A
+condition on the reversal (T - S)^r of rest = T - S reads rest's out-rows as
+the reversal's in-rows, so it builds no dual.  RULES lists only conditions
+that can decide a verdict: one that follows from the others of its rule is
+proved in the docstring of the rule's conditions and not evaluated.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -52,9 +54,14 @@ class Rule(NamedTuple):
 
 class Facts:
     """The facts the rules read about one tournament t.  The degree facts are
-    plain attributes; the decomposition and the oracle verdicts, which cost
-    O(n^2) or more, are computed on first use.  Nothing is cached on the
+    slots filled when it is built.  The decomposition and the oracle verdicts,
+    which cost O(n^2) or more, are properties over private slots, each
+    computed at most once, on first read; assigning out_quad or in_quad
+    forces that verdict, before or after a read.  Nothing is cached on the
     Tournament itself."""
+
+    __slots__ = ("t", "scores", "special", "low_out", "low_in", "regular",
+                 "_decomposition", "_out_quad", "_in_quad")
 
     def __init__(self, t: Tournament):
         self.t = t
@@ -63,20 +70,35 @@ class Facts:
         self.low_out = [v for v, s in enumerate(scores) if s == 1]
         self.low_in = [v for v, s in enumerate(scores) if s == t.n - 2]
         self.regular = len(set(scores)) == 1
+        self._decomposition = self._out_quad = self._in_quad = None  # not yet computed
 
-    @cached_property
+    @property
     def decomposition(self):
-        return strong_decomposition(self.t)
+        if self._decomposition is None:
+            self._decomposition = strong_decomposition(self.t)
+        return self._decomposition
 
-    @cached_property
+    @property
     def out_quad(self) -> bool:
-        return is_out_quadrangular(self.t)
+        if self._out_quad is None:
+            self._out_quad = is_out_quadrangular(self.t)
+        return self._out_quad
 
-    @cached_property
+    @out_quad.setter
+    def out_quad(self, value: bool):
+        self._out_quad = value
+
+    @property
     def in_quad(self) -> bool:
-        return is_in_quadrangular(self.t)
+        if self._in_quad is None:
+            self._in_quad = is_in_quadrangular(self.t)
+        return self._in_quad
 
-    @cached_property
+    @in_quad.setter
+    def in_quad(self, value: bool):
+        self._in_quad = value
+
+    @property
     def quadrangular(self) -> bool:
         return self.out_quad and self.in_quad
 
@@ -194,6 +216,9 @@ RULES = {rule.name: rule for rule in (
 )}
 
 
+_value = itemgetter(1)  # the truth value of a (condition name, truth value) pair
+
+
 def classify(t: Tournament, facts: Optional[Facts] = None) -> ClassificationTrace:
     """Decide quadrangularity by the first applicable rule of RULES.
 
@@ -204,7 +229,7 @@ def classify(t: Tournament, facts: Optional[Facts] = None) -> ClassificationTrac
         subjects = rule.subjects(f)
         if subjects:
             conds = tuple(rule.conditions(f, subjects[0]))
-            return ClassificationTrace(rule.name, conds, rule.combine(v for _, v in conds))
+            return ClassificationTrace(rule.name, conds, rule.combine(map(_value, conds)))
 
 
 # --- per-theorem verifiers -------------------------------------------------
@@ -213,7 +238,7 @@ def classify(t: Tournament, facts: Optional[Facts] = None) -> ClassificationTrac
 
 def _verdict(rule: Rule, f: Facts, subject) -> bool:
     """The rule's verdict on subject; the conditions stop once it is settled."""
-    return rule.combine(v for _, v in rule.conditions(f, subject))
+    return rule.combine(map(_value, rule.conditions(f, subject)))
 
 
 def _check(rule: Rule, t: Tournament, facts: Optional[Facts]) -> bool:
@@ -222,7 +247,11 @@ def _check(rule: Rule, t: Tournament, facts: Optional[Facts]) -> bool:
     subjects = rule.subjects(f)
     if not subjects:
         raise HypothesisNotSatisfied(rule.hypothesis)
-    return all(_verdict(rule, f, s) == f.quadrangular for s in subjects)
+    quadrangular = f.quadrangular
+    for s in subjects:
+        if _verdict(rule, f, s) != quadrangular:
+            return False
+    return True
 
 
 def verify_transmitter_receiver(t: Tournament, facts: Optional[Facts] = None) -> bool:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import operator
+import pickle
 
 import pytest
 
@@ -135,6 +136,16 @@ class TestVerifiers:
     def test_transmitter_receiver_hypothesis(self):
         with pytest.raises(HypothesisNotSatisfied):
             verify_transmitter_receiver(three_cycle())
+
+    def test_hypothesis_not_satisfied_contract(self):
+        # The message is formatted in __str__, not when the sweep raises it.
+        exc = HypothesisNotSatisfied("x")
+        for e in (exc, pickle.loads(pickle.dumps(exc))):
+            assert str(e) == "hypothesis not satisfied: x"
+            assert e.hypothesis == "x"
+        with pytest.raises(HypothesisNotSatisfied) as info:
+            verify_transmitter_only(QR7)
+        assert info.value.hypothesis == theorems.RULES["transmitter-only"].hypothesis
 
     def test_one_sided_instances(self):
         assert verify_transmitter_only(augment(QR7, True, False))
@@ -383,6 +394,43 @@ class TestSharedFacts:
         assert sum(calls["special_vertices"].values()) == result["instances"]
         for counter in calls.values():
             assert max(counter.values()) == 1
+
+    def test_lazy_facts_computed_at_most_once(self, monkeypatch):
+        # Conditions also call the oracles on sub-tournaments; only calls on
+        # the instance itself are Facts' own.
+        calls = collections.Counter()
+        for name in ("is_out_quadrangular", "is_in_quadrangular", "strong_decomposition"):
+            def counted(t, _fn=getattr(theorems, name), _name=name):
+                calls[_name, id(t)] += 1
+                return _fn(t)
+            monkeypatch.setattr(theorems, name, counted)
+
+        def run_all(t, facts):
+            classify(t, facts)
+            for fn in theorems.VERIFIERS.values():
+                _outcome(fn, t, facts)
+            if facts.regular:
+                verify_regular(t, facts)
+
+        for t in [t for n in range(1, 6) for t in all_tournaments(n)] + cli._named_instances():
+            calls.clear()
+            run_all(t, Facts(t))
+            assert max((c for (_, i), c in calls.items() if i == id(t)), default=0) <= 1, t
+            # A forced verdict is never computed, and it is the one read.
+            for forced in (True, False):
+                calls.clear()
+                facts = Facts(t)
+                facts.out_quad = facts.in_quad = forced
+                run_all(t, facts)
+                assert not calls["is_out_quadrangular", id(t)], t
+                assert not calls["is_in_quadrangular", id(t)], t
+                assert facts.out_quad is facts.in_quad is facts.quadrangular is forced
+
+    def test_assigned_fact_overrides_computed_one(self):
+        facts = Facts(QR7)
+        assert (facts.out_quad, facts.in_quad, facts.quadrangular) == (False, False, False)
+        facts.out_quad = facts.in_quad = True
+        assert (facts.out_quad, facts.in_quad, facts.quadrangular) == (True, True, True)
 
     @pytest.mark.parametrize("name", ["out-degree-one", "in-degree-one"])
     @pytest.mark.parametrize("first", [True, False])

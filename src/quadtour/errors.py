@@ -1,8 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error's data is its `args`.  A class with a `template` is raised with the
+template's fields, `str()` fills the template in, and `u`, `v` and
+`hypothesis` read `args`; every other class is raised with its message.  So a
+pickle round trip keeps the type, the data and the message.
+"""
 
 
 class QuadTourError(Exception):
     """Base class for all library errors."""
+
+    template = None
+
+    def __str__(self) -> str:
+        if self.template is None:
+            return super().__str__()
+        return self.template.format(*self.args)
+
+
+def _arg(i: int) -> property:
+    return property(lambda self: self.args[i])
 
 
 class DimensionMismatch(QuadTourError):
@@ -10,15 +27,13 @@ class DimensionMismatch(QuadTourError):
 
 
 class SelfLoop(QuadTourError):
-    def __init__(self, u: int):
-        self.u = u
-        super().__init__(f"self-loop at vertex {u}")
+    template = "self-loop at vertex {}"
+    u = _arg(0)
 
 
 class MissingOrDoubleArc(QuadTourError):
-    def __init__(self, u: int, v: int):
-        self.u, self.v = u, v
-        super().__init__(f"pair ({u},{v}) has zero or two arcs")
+    template = "pair ({},{}) has zero or two arcs"
+    u, v = _arg(0), _arg(1)
 
 
 class InvariantViolation(QuadTourError):
@@ -69,25 +84,21 @@ class UnsupportedK(QuadTourError):
     pass
 
 
-class NotRegular(QuadTourError):
-    pass
-
-
 class TooSmall(QuadTourError):
     pass
 
 
 class HypothesisNotSatisfied(QuadTourError):
     """Raised with the unmet hypothesis as its one argument.  A sweep raises
-    and catches one for most (instance, verifier) pairs, so the message is
-    formatted only when it is shown."""
+    and catches one for most (instance, verifier) pairs, so it has no
+    `__init__` of its own."""
 
-    @property
-    def hypothesis(self) -> str:
-        return self.args[0]
+    template = "hypothesis not satisfied: {}"
+    hypothesis = _arg(0)
 
-    def __str__(self) -> str:
-        return f"hypothesis not satisfied: {self.args[0]}"
+
+class NotRegular(HypothesisNotSatisfied):
+    """The regular rule's hypothesis is unmet."""
 
 
 class MatrixParseError(QuadTourError):

@@ -36,10 +36,15 @@ def parse_pattern(text: str) -> BinaryPattern:
     # int() alone would also take signs, spaces and non-ASCII digits.
     if not (header.isascii() and header.isdigit()):
         raise MatrixParseError(f"bad header line {lines[0]!r}")
-    n = int(header)
+    body = lines[1:]
+    # A count with more digits than len(body) matches no body, and int()
+    # refuses more than 4,300 digits, zeros included (Python 3.10.7 and later).
+    digits = header.lstrip("0")
+    if len(digits) > len(str(len(body))):
+        raise MatrixParseError(f"expected {digits} body lines, got {len(body)}")
+    n = int(digits or "0")
     if n < 1:
         raise MatrixParseError(f"bad vertex count {n}")
-    body = lines[1:]
     if len(body) != n:
         raise MatrixParseError(f"expected {n} body lines, got {len(body)}")
     # int(line, 2) alone would also take '_', signs, spaces and non-ASCII digits.

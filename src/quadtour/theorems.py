@@ -324,7 +324,7 @@ def verify_regular(t: Tournament, facts: Optional[Facts] = None) -> bool:
     """Out/in/both verdicts coincide on regular tournaments; gamma >= 4 suffices."""
     f = Facts(t) if facts is None else facts
     if not f.regular:
-        raise NotRegular("tournament is not regular")
+        raise NotRegular(RULES["regular"].hypothesis)
     # The regular rule's verdict is "gamma >= 4 or out-quadrangular".
     return f.out_quad == f.in_quad == _verdict(RULES["regular"], f, None)
 

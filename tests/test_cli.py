@@ -113,10 +113,17 @@ class TestParseInput:
         ("x\n", "bad header line 'x'"),
         ("0\n", "bad vertex count 0"),
         ("3\n010\n001\n", "expected 3 body lines, got 2"),
+        # int() refuses more than 4,300 digits; the digit count rules it out first.
+        pytest.param("9" * 5000 + "\n", f"expected {'9' * 5000} body lines, got 0",
+                     id="header-5000-digits"),
     ])
     def test_malformed_file_rejected(self, text, message):
         with pytest.raises(MatrixParseError, match=rf"^{re.escape(message)}$"):
             parse_pattern(text)
+
+    @pytest.mark.parametrize("header", ["0003", "0" * 5000 + "3"], ids=["0003", "5000-zeros-3"])
+    def test_header_with_leading_zeros_accepted(self, header):
+        assert parse_pattern(f"{header}\n010\n001\n100\n") == parse_pattern("3\n010\n001\n100\n")
 
     @pytest.mark.parametrize("row", [
         "0_1", "0 1", " 01", "01 ", "+01", "0b1", "-01", "\ufeff01",
@@ -169,11 +176,13 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["check", str(u5_file), "--what", "quad"])
         assert code == 1
 
-    def test_parse_error_is_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["3\n010\n10\n000\n", "9" * 5000 + "\n"],
+                             ids=["short-row", "header-5000-digits"])
+    def test_parse_error_is_two(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.txt"
-        bad.write_text("3\n010\n10\n000\n")
+        bad.write_text(text)
         code, _, err = run(capsys, ["check", str(bad)])
-        assert code == 2 and "error" in err
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
 
     def test_not_a_tournament_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

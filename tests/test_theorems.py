@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from quadtour import cli, theorems
+from quadtour import cli, errors, theorems
 from quadtour.core import Tournament, disjoint_pairs, dual, is_isomorphic
 from quadtour.errors import HypothesisNotSatisfied, NotRegular, QuadTourError
 from quadtour.generators import (
@@ -127,6 +127,32 @@ class TestClassify:
             assert trace.verdict == is_quadrangular(t)
 
 
+# Representative arguments and the message they give, for every error.  A
+# class with a template is raised with its fields; every other with its message.
+ERRORS = {cls: (args, message) for cls, args, message in [
+    (errors.QuadTourError, ("base",), "base"),
+    (errors.DimensionMismatch, ("rows differ",), "rows differ"),
+    (errors.SelfLoop, (3,), "self-loop at vertex 3"),
+    (errors.MissingOrDoubleArc, (1, 2), "pair (1,2) has zero or two arcs"),
+    (errors.InvariantViolation, ("bad certificate",), "bad certificate"),
+    (errors.VertexOutOfRange, ("vertex 9",), "vertex 9"),
+    (errors.EmptyVertexSet, ("empty",), "empty"),
+    (errors.SizeLimitExceeded, ("too big",), "too big"),
+    (errors.InvalidSymbol, ("symbol",), "symbol"),
+    (errors.InvalidSeed, ("seed -1",), "seed -1"),
+    (errors.InvalidSide, ("side",), "side"),
+    (errors.EvenOrTooSmall, ("n = 4",), "n = 4"),
+    (errors.NotPrime, ("p = 9",), "p = 9"),
+    (errors.WrongResidueClass, ("p = 5",), "p = 5"),
+    (errors.NotSquare, ("2 x 3",), "2 x 3"),
+    (errors.UnsupportedK, ("k = 5",), "k = 5"),
+    (errors.TooSmall, ("n = 1",), "n = 1"),
+    (errors.HypothesisNotSatisfied, ("x",), "hypothesis not satisfied: x"),
+    (errors.NotRegular, ("regular tournament",), "hypothesis not satisfied: regular tournament"),
+    (errors.MatrixParseError, ("empty input",), "empty input"),
+]}
+
+
 class TestVerifiers:
     def test_transmitter_receiver_instances(self):
         assert verify_transmitter_receiver(augment(QR7, True, True))
@@ -138,14 +164,26 @@ class TestVerifiers:
             verify_transmitter_receiver(three_cycle())
 
     def test_hypothesis_not_satisfied_contract(self):
-        # The message is formatted in __str__, not when the sweep raises it.
-        exc = HypothesisNotSatisfied("x")
-        for e in (exc, pickle.loads(pickle.dumps(exc))):
-            assert str(e) == "hypothesis not satisfied: x"
-            assert e.hypothesis == "x"
+        # Its message and pickling are checked with every error's below.
         with pytest.raises(HypothesisNotSatisfied) as info:
             verify_transmitter_only(QR7)
         assert info.value.hypothesis == theorems.RULES["transmitter-only"].hypothesis
+
+    def test_error_table_covers_every_error(self):
+        defined = {cls for cls in vars(errors).values()
+                   if isinstance(cls, type) and issubclass(cls, QuadTourError)}
+        assert defined == set(ERRORS)
+
+    @pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+    def test_error_round_trip(self, cls):
+        args, message = ERRORS[cls]
+        exc = cls(*args)
+        assert (exc.args, str(exc)) == (args, message)
+        back = pickle.loads(pickle.dumps(exc))
+        assert (type(back), back.args, str(back)) == (cls, args, message)
+        for name, i in (("u", 0), ("v", 1), ("hypothesis", 0)):
+            if hasattr(cls, name):
+                assert getattr(exc, name) == getattr(back, name) == args[i]
 
     def test_one_sided_instances(self):
         assert verify_transmitter_only(augment(QR7, True, False))
@@ -258,8 +296,11 @@ class TestRegular:
             assert classify(t) == theorems.ClassificationTrace("regular", (("gamma>=4", True),), True)
 
     def test_not_regular(self):
-        with pytest.raises(NotRegular):
+        with pytest.raises(NotRegular) as info:
             verify_regular(transitive_triple())
+        assert isinstance(info.value, HypothesisNotSatisfied)
+        assert info.value.hypothesis == theorems.RULES["regular"].hypothesis
+        assert str(info.value) == "hypothesis not satisfied: regular tournament"
 
     def test_gamma_at_least_4_must_imply_quadrangular(self, monkeypatch):
         # QR_7 has gamma 3; claiming gamma >= 4 for it contradicts the theorem.

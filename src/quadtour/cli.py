@@ -3,6 +3,8 @@
 Exit codes: 0 when the queried property holds (or the command simply
 succeeded), 1 when a checked property fails or a search finds nothing, 2 on
 usage, parse or size-limit errors.
+
+`_emit` writes every JSON report: one line, `json.dumps`'s default separators.
 """
 
 from __future__ import annotations
@@ -22,17 +24,13 @@ SCHEMA_VERSION = "1"
 
 
 def _report(command: str, inputs: dict, result: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-    }
+    return {"schema_version": SCHEMA_VERSION, "command": command,
+            "inputs": inputs, "result": result}
 
 
-def _emit(args, report: dict, human_lines) -> None:
-    if args.json:
-        print(json.dumps(report, separators=(", ", ": ")))
+def _emit(as_json: bool, report: dict, human_lines) -> None:
+    if as_json:
+        print(json.dumps(report))
     else:
         for line in human_lines:
             print(line)
@@ -46,19 +44,23 @@ def _read_text(path: str) -> str:
             raise MatrixParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_tournament(path: str) -> core.Tournament:
-    return matrixio.parse_tournament(_read_text(path))
-
-
-def _read_pattern(path: str) -> orthogonality.BinaryPattern:
-    return matrixio.parse_pattern(_read_text(path))
-
-
 def _parse_symbol_arg(n: int, text: str) -> generators.Symbol:
-    try:
-        members = [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise InvalidSymbol(f"symbol members must be integers, got {text!r}") from None
+    # An ASCII-digit member is read as the matrix header is, without leading
+    # zeros.  int() refuses it only past the 4,300-digit limit that n, read by
+    # int() too, is within: it lies outside [1, n - 1].
+    members, too_long = [], ""
+    for part in filter(None, text.split(",")):
+        digits = part.isascii() and part.isdigit()
+        if digits:
+            part = part.lstrip("0") or "0"
+        try:
+            members.append(int(part))
+        except ValueError:
+            if not digits:
+                raise InvalidSymbol(f"symbol members must be integers, got {text!r}") from None
+            too_long = too_long or part
+    if too_long:
+        raise InvalidSymbol(f"member {too_long} outside [1, {n - 1}]")
     return generators.make_symbol(n, members)
 
 
@@ -78,8 +80,7 @@ def _threads(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.kind == "rotational":
-        sym = _parse_symbol_arg(args.n, args.symbol)
-        t = generators.rotational(sym)
+        t = generators.rotational(_parse_symbol_arg(args.n, args.symbol))
     elif args.kind == "un":
         t = generators.u_n(args.n)
     elif args.kind == "qr":
@@ -87,62 +88,47 @@ def cmd_gen(args) -> int:
     elif args.kind == "random":
         t = generators.random_tournament(args.n, args.seed)
     else:  # augment
-        t = _read_tournament(args.input)
+        t = matrixio.parse_tournament(_read_text(args.input))
         t = generators.augment(t, args.transmitter, args.receiver)
-    text = matrixio.render_tournament(t)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(matrixio.render_tournament(t))
     if args.json:
-        inputs = {"kind": args.kind}
-        report = _report("gen", inputs, matrixio.to_json_adjacency(t))
-        print(json.dumps(report, separators=(", ", ": ")))
+        _emit(True, _report("gen", {"kind": args.kind}, matrixio.to_json_adjacency(t)), ())
     elif not args.out:
-        sys.stdout.write(text)
+        sys.stdout.write(matrixio.render_tournament(t))
     return 0
 
 
 # --- check -------------------------------------------------------------
 
 
+def _side(rep, **extra) -> dict:
+    """One side's verdict and witness (None when the side holds)."""
+    return {"verdict": rep.verdict, **extra, "witness": rep.witness and rep.witness._asdict()}
+
+
 def cmd_check(args) -> int:
-    inputs = {"input": args.input, "what": args.what}
+    text = _read_text(args.input)
     if args.what == "orth":
-        p = _read_pattern(args.input)
+        p = matrixio.parse_pattern(text)
         verdict = orthogonality.comb_orthogonal(p)
         row_witness = col_witness = None
         if not verdict:  # a True verdict means neither side has a witness
             _, row_witness = orthogonality.comb_row_orthogonal(p)
             _, col_witness = orthogonality.comb_row_orthogonal(p.transpose())
-        result = {
-            "verdict": verdict,
-            "row_witness": row_witness,
-            "col_witness": col_witness,
-        }
-        _emit(args, _report("check", inputs, result),
-              [f"combinatorially orthogonal: {verdict}"])
-        return 0 if verdict else 1
-
-    t = _read_tournament(args.input)
-    if args.what == "quad":
-        out_rep, in_rep = orthogonality.quadrangularity(t, "both")
+        result = {"verdict": verdict, "row_witness": row_witness, "col_witness": col_witness}
+        lines = [f"combinatorially orthogonal: {verdict}"]
+    elif args.what == "quad":
+        out_rep, in_rep = orthogonality.quadrangularity(matrixio.parse_tournament(text), "both")
         verdict = out_rep.verdict and in_rep.verdict
-        result = {
-            "verdict": verdict,
-            "out": {"verdict": out_rep.verdict, "witness": out_rep.witness and out_rep.witness._asdict()},
-            "in": {"verdict": in_rep.verdict, "witness": in_rep.witness and in_rep.witness._asdict()},
-        }
+        result = {"verdict": verdict, "out": _side(out_rep), "in": _side(in_rep)}
         lines = [f"quadrangular: {verdict}"]
     else:
-        rep = orthogonality.quadrangularity(t, args.what)
-        verdict = rep.verdict
-        result = {
-            "verdict": verdict,
-            "side": rep.side,
-            "witness": rep.witness and rep.witness._asdict(),
-        }
+        rep = orthogonality.quadrangularity(matrixio.parse_tournament(text), args.what)
+        verdict, result = rep.verdict, _side(rep, side=rep.side)
         lines = [f"{args.what}-quadrangular: {verdict}"]
-    _emit(args, _report("check", inputs, result), lines)
+    _emit(args.json, _report("check", {"input": args.input, "what": args.what}, result), lines)
     return 0 if verdict else 1
 
 
@@ -150,7 +136,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_dom(args) -> int:
-    t = _read_tournament(args.input)
+    t = matrixio.parse_tournament(_read_text(args.input))
     inputs = {"input": args.input, "what": args.what}
     if args.what == "number":
         info = domination.domination_number(t)
@@ -169,7 +155,7 @@ def cmd_dom(args) -> int:
         )
         result = {"n": t.n, "edges": edges}
         lines = [f"{args.what}: {len(edges)} edges"] + [f"  {u} -- {v}" for u, v in edges]
-    _emit(args, _report("dom", inputs, result), lines)
+    _emit(args.json, _report("dom", inputs, result), lines)
     return 0
 
 
@@ -189,14 +175,14 @@ def cmd_search(args) -> int:
             "quadrangular": quad,
             "verified": verified,
         }
-        _emit(args, _report("search", inputs, result),
+        _emit(args.json, _report("search", inputs, result),
               [f"family symbol: {list(sym.sorted_members())}", f"verified: {verified}"])
         return 0 if verified else 1
 
     if args.mode == "first":
         first, examined = symbols.first_hit(args.n)
         result = {"first": first, "examined": examined}
-        _emit(args, _report("search", inputs, result),
+        _emit(args.json, _report("search", inputs, result),
               [f"first hit: {list(first) if first else 'none'}"])
         return 0 if first else 1
 
@@ -205,7 +191,7 @@ def cmd_search(args) -> int:
     result = {"hits": res.hits, "hit_count": len(res.hits), "examined": res.examined}
     report = _report("search", inputs, result)
     report["elapsed_ms"] = round(res.elapsed * 1000.0, 3)
-    _emit(args, report,
+    _emit(args.json, report,
           chain([f"examined {res.examined} symbols, {len(res.hits)} hits"],
                 (f"  {list(h)}" for h in res.hits)))
     return 0 if res.hits else 1
@@ -283,7 +269,7 @@ def cmd_verify(args) -> int:
         "failure": None if failure is None else {
             "verifier": failure[0], "matrix": matrixio.to_json_adjacency(failure[1])},
     }
-    _emit(args, _report("verify", inputs, result),
+    _emit(args.json, _report("verify", inputs, result),
           [f"instances: {count}"]
           + [f"  {name}: {n} pass" for name, n in passes.items()]
           + ([f"FAILURE in {failure[0]}"] if failure else ["all agree"]))
@@ -294,13 +280,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    t = _read_tournament(args.input)
+    t = matrixio.parse_tournament(_read_text(args.input))
     if args.format == "dot":
         sys.stdout.write(matrixio.to_dot(t))
     else:
-        report = _report("export", {"input": args.input, "format": "json"},
-                         matrixio.to_json_adjacency(t))
-        print(json.dumps(report, separators=(", ", ": ")))
+        _emit(True, _report("export", {"input": args.input, "format": "json"},
+                            matrixio.to_json_adjacency(t)), ())
     return 0
 
 

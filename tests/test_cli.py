@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from quadtour import theorems
+from quadtour import matrixio, theorems
 from quadtour.cli import main
 from quadtour.core import Tournament, iter_bits
 from quadtour.errors import MatrixParseError
@@ -80,6 +80,18 @@ class TestGen:
     def test_bad_params_exit_2(self, capsys):
         code, _, err = run(capsys, ["gen", "rotational", "--n", "7", "--symbol", "1,2,6"])
         assert code == 2 and "error" in err
+
+    def test_symbol_member_with_leading_zeros(self, capsys):
+        # 5,000 characters: more than int() converts, but the value is 1.
+        want = run(capsys, ["gen", "rotational", "--n", "11", "--symbol", "1,3,4,5,9"])
+        got = run(capsys, ["gen", "rotational", "--n", "11", "--symbol",
+                           "0" * 4999 + "1,3,4,5,9"])
+        assert got == want and want[0] == 0
+
+    def test_json_alone_renders_no_matrix_text(self, capsys, monkeypatch):
+        # The matrix text goes to --out or stdout; --json alone writes neither.
+        monkeypatch.setattr(matrixio, "render_tournament", lambda t: pytest.fail("rendered"))
+        assert run(capsys, ["gen", "qr", "--p", "7", "--json"])[0] == 0
 
 
 class TestMatrixRoundTrip:
@@ -237,14 +249,20 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["verify", "exhaustive", "--n-max", "9"])
         assert code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["gen", "random", "--n", "5", "--seed", "-1"],
-        ["gen", "rotational", "--n", "7", "--symbol", "1,a"],
+    @pytest.mark.parametrize("argv, fault", [
+        pytest.param(["gen", "random", "--n", "5", "--seed", "-1"],
+                     "seed must be", id="argv0"),
+        pytest.param(["gen", "rotational", "--n", "7", "--symbol", "1,a"],
+                     "must be integers", id="argv1"),
+        # More digits than int() converts: a member out of range, not a non-integer.
+        pytest.param(["gen", "rotational", "--n", "11", "--symbol", "9" * 5000],
+                     "outside [1, 10]", id="symbol-5000-nines"),
     ])
-    def test_bad_generator_input_is_two(self, capsys, argv):
+    def test_bad_generator_input_is_two(self, capsys, argv, fault):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
+        assert fault in err
 
     @pytest.mark.parametrize("suite", ["exhaustive", "all"])
     @pytest.mark.parametrize("n_max", ["0", "-3"])
@@ -383,6 +401,37 @@ class TestJsonReports:
         result = json.loads(out)["result"]
         assert result["symbol"] == [1, 3, 5, 6, 7, 11, 13]
         assert result["verified"] is True
+
+    # (exit code, sha256 of stdout) of every JSON mode no other golden pins;
+    # the QR_7 checks fail, so their witnesses are pinned too.
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["gen", "qr", "--p", "7", "--json"], 0,
+         "5198451c89a61431dadf956f0984f2cd1f73ca8369a0aea7c89f686f9806c801"),
+        (["gen", "rotational", "--n", "11", "--symbol", "1,3,4,5,9", "--json"], 0,
+         "ca014f71f65a0b67b962053e6a893c98cb625a1c26ef6e7ebec2ead8529a4ae2"),
+        (["export", "qr7.txt", "--format", "json"], 0,
+         "2fd1bc82013d5b5675ab1286d5069873e3bde30ced576e7771adf9d1aba94032"),
+        (["check", "qr7.txt", "--what", "quad", "--json"], 1,
+         "bad656d06a4cdcbfa129d6cb8fcc98d9e9fb49365f2d1a0db909f5a66307a5a0"),
+        (["check", "qr7.txt", "--what", "orth", "--json"], 1,
+         "f3e85ed46151254e47fed196c721fe86b3dfb1e510b8cb4c51d390db2d8f35fc"),
+        (["check", "qr7.txt", "--what", "out", "--json"], 1,
+         "929e287db5d3c105d5be86b22c45c63fb9ac5717143e9c6f34dce61a875a2044"),
+        (["check", "qr7.txt", "--what", "in", "--json"], 1,
+         "860d311b47f7f4792e02c0033eabad0b997264cc4334d5a11756bf400f118c22"),
+        (["dom", "qr7.txt", "--what", "competition", "--json"], 0,
+         "8e7e1efc4151235e212cb11ceb04274997c797e8ac6a010afdbc8a4727bbb5b4"),
+        (["search", "--n", "11", "--first", "--json"], 0,
+         "8a16a09c3a4b89513ba3fb8b511a54b2f23fe3b17ea30930bf111fe5b0f72986"),
+        (["search", "--n", "15", "--family", "--json"], 0,
+         "e636f1251cf16f0b4ef913f9a06fe10ddc683aecfc0cb2aa3e56029965254a56"),
+    ], ids=["gen-qr", "gen-rotational", "export", "check-quad", "check-orth",
+            "check-out", "check-in", "dom-competition", "search-first", "search-family"])
+    def test_stdout_golden(self, tmp_path, monkeypatch, capsys, argv, code, digest):
+        monkeypatch.chdir(tmp_path)  # a relative path keeps "inputs" stable
+        assert main(["gen", "qr", "--p", "7", "--out", "qr7.txt"]) == 0
+        got, out, _ = run(capsys, argv)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 class TestExport:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from itertools import chain
 from typing import List, Optional
 
 from . import core, domination, generators, matrixio, orthogonality, symbols, theorems
-from .errors import (HypothesisNotSatisfied, InvalidSymbol, MatrixParseError,
-                     QuadTourError, SizeLimitExceeded)
+from .errors import InvalidSymbol, MatrixParseError, QuadTourError, SizeLimitExceeded
 
 SCHEMA_VERSION = "1"
 
@@ -44,21 +44,24 @@ def _read_text(path: str) -> str:
             raise MatrixParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+# int()'s base-10 grammar without its digit limit (\x1c-\x1f are not space to int()).
+_INTEGER = r"[^\S\x1c-\x1f]*([+-]?)(\d+(?:_\d+)*)[^\S\x1c-\x1f]*"
+
+
 def _parse_symbol_arg(n: int, text: str) -> generators.Symbol:
-    # An ASCII-digit member is read as the matrix header is, without leading
-    # zeros.  int() refuses it only past the 4,300-digit limit that n, read by
-    # int() too, is within: it lies outside [1, n - 1].
+    # Members are read without leading zeros, as the matrix header is; one still
+    # past int()'s digit limit, which n is within, lies outside [1, n - 1].
     members, too_long = [], ""
     for part in filter(None, text.split(",")):
-        digits = part.isascii() and part.isdigit()
-        if digits:
-            part = part.lstrip("0") or "0"
+        match = re.fullmatch(_INTEGER, part)
+        if match is None:
+            raise InvalidSymbol(f"symbol members must be integers, got {text!r}")
+        sign, digits = match[1], match[2].replace("_", "")
+        digits = digits.lstrip("".join(d for d in set(digits) if int(d) == 0)) or "0"
         try:
-            members.append(int(part))
+            members.append(int(sign + digits))
         except ValueError:
-            if not digits:
-                raise InvalidSymbol(f"symbol members must be integers, got {text!r}") from None
-            too_long = too_long or part
+            too_long = too_long or sign + digits
     if too_long:
         raise InvalidSymbol(f"member {too_long} outside [1, {n - 1}]")
     return generators.make_symbol(n, members)
@@ -214,44 +217,6 @@ def _named_instances():
     return named
 
 
-def _first_disagreement(t, passes: dict) -> Optional[str]:
-    """Name of the first check that disagrees with the oracle on t, or None.
-
-    Each verifier that agrees is counted in passes.
-    """
-    facts = theorems.Facts(t)  # shared by classify and every verifier
-    if theorems.classify(t, facts).verdict != orthogonality.is_quadrangular(t):
-        return "classify"
-    for name, fn in theorems.VERIFIERS.items():
-        try:
-            agreed = fn(t, facts)
-        except HypothesisNotSatisfied:
-            continue
-        if not agreed:
-            return name
-        passes[name] += 1
-    if facts.regular and not theorems.verify_regular(t, facts):
-        return "regular"
-    return None
-
-
-def _run_verifiers(instances):
-    """(instance count, passes, classify agreements, failure) for an iterator.
-
-    The instances after the first failure are counted, not checked; failure
-    is None or (check name, tournament).
-    """
-    passes = {name: 0 for name in theorems.VERIFIERS}
-    checked = 0
-    for t in instances:
-        name = _first_disagreement(t, passes)
-        if name is not None:
-            count = checked + 1 + sum(1 for _ in instances)
-            return count, passes, checked + (name != "classify"), (name, t)
-        checked += 1
-    return checked, passes, checked, None
-
-
 def cmd_verify(args) -> int:
     inputs = {"suite": args.suite, "n_max": args.n_max}
     exhaustive = args.suite in ("exhaustive", "all")
@@ -261,17 +226,13 @@ def cmd_verify(args) -> int:
     corpora = [_named_instances()] if args.suite in ("theorems", "all") else []
     if exhaustive:
         corpora += map(generators.all_tournaments, range(1, args.n_max + 1))
-    count, passes, agreements, failure = _run_verifiers(chain.from_iterable(corpora))
-    result = {
-        "instances": count,
-        "classify_agreements": agreements,
-        "passes": passes,
-        "failure": None if failure is None else {
-            "verifier": failure[0], "matrix": matrixio.to_json_adjacency(failure[1])},
-    }
+    swept = theorems.sweep(chain.from_iterable(corpora))
+    failure = swept.failure
+    result = {**swept._asdict(), "failure": None if failure is None else {
+        "verifier": failure[0], "matrix": matrixio.to_json_adjacency(failure[1])}}
     _emit(args.json, _report("verify", inputs, result),
-          [f"instances: {count}"]
-          + [f"  {name}: {n} pass" for name, n in passes.items()]
+          [f"instances: {swept.instances}"]
+          + [f"  {name}: {n} pass" for name, n in swept.passes.items()]
           + ([f"FAILURE in {failure[0]}"] if failure else ["all agree"]))
     return 0 if failure is None else 1
 

@@ -6,8 +6,8 @@ decide quadrangularity for a subject.  classify() reports every condition of
 the first rule that has a subject, on its first subject; a rule's verify_*
 compares its verdict on each subject, read only until the conditions settle
 it, with the direct out/in oracle, and a disagreement means a library bug (or
-a falsified statement).  VERIFIERS names the checks a sweep runs, in the
-order it reports them.  `Facts(t)` holds what the rules read about one
+a falsified statement).  sweep() checks classify and every verifier on each
+instance of a corpus.  `Facts(t)` holds what the rules read about one
 tournament: the O(n) facts are slots filled when it is built; the costlier ones
 are properties over private slots, each computed at most once, on first read,
 and out_quad and in_quad may be assigned to force them.  Build it per
@@ -329,9 +329,7 @@ def verify_regular(t: Tournament, facts: Optional[Facts] = None) -> bool:
     return f.out_quad == f.in_quad == _verdict(RULES["regular"], f, None)
 
 
-# The checks a sweep runs on every instance, keyed and ordered as the `passes`
-# of `verify --json` report them.  verify_regular is not among them: the
-# sweep runs it on regular instances only and reports no passes for it.
+# The checks sweep() runs on every instance, keyed and ordered as its `passes`.
 VERIFIERS = {
     "transmitter-receiver": verify_transmitter_receiver,
     "transmitter-only": verify_transmitter_only,
@@ -377,3 +375,41 @@ def verify_rotational_dichotomy(t: Tournament) -> bool:
     arc = range(1, n // 2 + 1)
     images = (sum(1 << (a * x % n) for x in arc) for a in iter_bits(row) if gcd(a, n) == 1)
     return row in images and (n <= 3 or not is_quadrangular(t))
+
+
+class Sweep(NamedTuple):
+    instances: int
+    classify_agreements: int
+    passes: dict  # VERIFIERS name -> instances on which that check agreed
+    failure: Optional[tuple]  # (check name, tournament) of the first disagreement
+
+
+def sweep(instances: Iterable[Tournament]) -> Sweep:
+    """Check classify, then each VERIFIERS entry, then (on regular instances
+    only, uncounted) verify_regular against the oracle on every instance.  A
+    verifier whose hypothesis fails is skipped.  Every instance is counted;
+    those after the first disagreement are not checked."""
+    passes = dict.fromkeys(VERIFIERS, 0)
+    count = agreements = 0
+    failure = None
+    for t in instances:
+        count += 1
+        if failure is not None:
+            continue
+        f = Facts(t)  # shared by classify and every verifier
+        if classify(t, f).verdict != is_quadrangular(t):
+            failure = ("classify", t)
+            continue
+        agreements += 1
+        for name, verifier in VERIFIERS.items():
+            try:
+                agreed = verifier(t, f)
+            except HypothesisNotSatisfied:
+                continue
+            if not agreed:
+                failure = (name, t)
+                break
+            passes[name] += 1
+        if failure is None and f.regular and not verify_regular(t, f):
+            failure = ("regular", t)
+    return Sweep(count, agreements, passes, failure)

@@ -88,6 +88,17 @@ class TestGen:
                            "0" * 4999 + "1,3,4,5,9"])
         assert got == want and want[0] == 0
 
+    @pytest.mark.parametrize("first", [
+        pytest.param(" +" + "0" * 4999 + "1 ", id="signed-spaced"),
+        pytest.param("0_" * 4999 + "1", id="underscores"),
+        pytest.param("\u0660" * 4999 + "\u0661", id="arabic-indic"),
+    ])
+    def test_symbol_member_in_int_grammar_with_leading_zeros(self, capsys, first):
+        # Each form int() reads, 5,000 digits long, with the value 1.
+        want = run(capsys, ["gen", "rotational", "--n", "11", "--symbol", "1,3,4,5,9"])
+        got = run(capsys, ["gen", "rotational", "--n", "11", "--symbol", first + ",3,4,5,9"])
+        assert got == want and want[0] == 0
+
     def test_json_alone_renders_no_matrix_text(self, capsys, monkeypatch):
         # The matrix text goes to --out or stdout; --json alone writes neither.
         monkeypatch.setattr(matrixio, "render_tournament", lambda t: pytest.fail("rendered"))
@@ -257,6 +268,23 @@ class TestExitCodes:
         # More digits than int() converts: a member out of range, not a non-integer.
         pytest.param(["gen", "rotational", "--n", "11", "--symbol", "9" * 5000],
                      "outside [1, 10]", id="symbol-5000-nines"),
+        pytest.param(["gen", "rotational", "--n", "11", "--symbol=+" + "9" * 5000 + ",3,4,5,9"],
+                     "outside [1, 10]", id="symbol-signed"),
+        pytest.param(["gen", "rotational", "--n", "11", "--symbol", " " + "9" * 5000],
+                     "outside [1, 10]", id="symbol-leading-space"),
+        pytest.param(["gen", "rotational", "--n", "11", "--symbol=-" + "9_" * 5000 + "9"],
+                     "outside [1, 10]", id="symbol-negative-underscores"),
+        pytest.param(["gen", "rotational", "--n", "11", "--symbol", "\u0669" * 5000],
+                     "outside [1, 10]", id="symbol-arabic-indic"),
+        # Not integers at any length.
+        pytest.param(["gen", "rotational", "--n", "11", "--symbol", "9__9" * 1250],
+                     "must be integers", id="symbol-double-underscore"),
+        pytest.param(["gen", "rotational", "--n", "11", "--symbol", "+-" + "9" * 5000],
+                     "must be integers", id="symbol-two-signs"),
+        pytest.param(["gen", "rotational", "--n", "11", "--symbol", "\x1c" + "9" * 5000],
+                     "must be integers", id="symbol-file-separator"),
+        pytest.param(["gen", "rotational", "--n", "11", "--symbol", "\u00b2,3,4,5,9"],
+                     "must be integers", id="symbol-superscript"),
     ])
     def test_bad_generator_input_is_two(self, capsys, argv, fault):
         code, out, err = run(capsys, argv)

@@ -479,7 +479,7 @@ class TestSharedFacts:
         _flip_rule(monkeypatch, name, first)
         code, result = _sweep(capsys, "exhaustive", "--n-max", "4")
         assert code == 1 and result["failure"]["verifier"] == name
-        # the stream is drained after the failure, so the whole corpus is counted
+        # the instances after the failure are counted, not checked
         assert result["instances"] == 1 + 2 + 8 + 64
         verifier = SHARED_VERIFIERS[name]
         corpus = [t for n in range(1, 5) for t in brute_all_tournaments(n)]
@@ -512,6 +512,89 @@ class TestSharedFacts:
         facts = Facts(t)
         assert classify(t, facts) == classify(t)
         assert not verify_outdeg_one(t, facts)
+
+
+# Every tournament with n <= 4, then the named corpus of `verify theorems`.
+SMALL_SWEEP = [t for n in range(1, 5) for t in all_tournaments(n)] + cli._named_instances()
+
+
+def _negate_classify(monkeypatch):
+    classify = theorems.classify
+
+    def negated(t, facts=None):
+        trace = classify(t, facts)
+        return trace._replace(verdict=not trace.verdict)
+
+    monkeypatch.setattr(theorems, "classify", negated)
+
+
+class TestSweep:
+    def test_empty(self):
+        assert theorems.sweep([]) == theorems.Sweep(
+            0, 0, {name: 0 for name in theorems.VERIFIERS}, None)
+
+    @pytest.mark.parametrize("fault", [None, "classify", "out-degree-one", "in-degree-one"])
+    def test_iterator_sweeps_like_list(self, monkeypatch, fault):
+        if fault == "classify":
+            _negate_classify(monkeypatch)
+        elif fault is not None:  # both ways of flipping a rule
+            _flip_rule(monkeypatch, fault, first=fault == "out-degree-one")
+        swept = theorems.sweep(SMALL_SWEEP)
+        assert theorems.sweep(iter(SMALL_SWEEP)) == swept
+        assert swept.instances == len(SMALL_SWEEP)
+        if fault is None:
+            assert swept.failure is None
+            assert swept.classify_agreements == len(SMALL_SWEEP)
+        else:
+            name, t = swept.failure
+            failing = next(i for i, u in enumerate(SMALL_SWEEP) if u is t)
+            assert name == fault and failing + 1 < len(SMALL_SWEEP)
+            assert swept.classify_agreements == failing + (fault != "classify")
+
+    def _log_checks(self, monkeypatch, fail_at=None):
+        """Record each (check name, instance) the sweep calls, in order; the
+        not-strong verifier disagrees on SMALL_SWEEP[fail_at]."""
+        log = []
+
+        def logged(name, fn):
+            def check(t, *args):
+                log.append((name, id(t)))
+                if name == "not-strong" and fail_at is not None and t is SMALL_SWEEP[fail_at]:
+                    return False
+                return fn(t, *args)
+            return check
+
+        monkeypatch.setattr(theorems, "classify", logged("classify", theorems.classify))
+        monkeypatch.setattr(theorems, "is_quadrangular",
+                            logged("oracle", theorems.is_quadrangular))
+        for name, fn in theorems.VERIFIERS.items():
+            monkeypatch.setitem(theorems.VERIFIERS, name, logged(name, fn))
+        monkeypatch.setattr(theorems, "verify_regular",
+                            logged("regular", theorems.verify_regular))
+        return log
+
+    def _expected(self, t):
+        checks = ["classify", "oracle", *theorems.VERIFIERS]
+        return [(name, id(t)) for name in checks + ["regular"] * Facts(t).regular]
+
+    def test_each_check_runs_once_per_instance(self, monkeypatch):
+        log = self._log_checks(monkeypatch)
+        swept = theorems.sweep(SMALL_SWEEP)
+        assert swept.failure is None
+        assert log == [call for t in SMALL_SWEEP for call in self._expected(t)]
+
+    def test_no_check_runs_after_a_failure(self, monkeypatch):
+        # A regular instance, so verify_regular would run next.
+        fail_at = next(i for i, t in enumerate(SMALL_SWEEP) if t.n == 3 and Facts(t).regular)
+        log = self._log_checks(monkeypatch, fail_at)
+        swept = theorems.sweep(iter(SMALL_SWEEP))
+        assert swept.failure == ("not-strong", SMALL_SWEEP[fail_at])
+        assert swept.instances == len(SMALL_SWEEP)
+        assert swept.classify_agreements == fail_at + 1
+        failing = self._expected(SMALL_SWEEP[fail_at])
+        last = failing.index(("not-strong", id(SMALL_SWEEP[fail_at])))
+        assert log == [call for t in SMALL_SWEEP[:fail_at] for call in self._expected(t)] + (
+            failing[:last + 1])
 
 
 def _flip_rule(monkeypatch, name, first):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the queried property holds (or the command simply
 succeeded), 1 when a checked property fails or a search finds nothing, 2 on
-usage, parse or size-limit errors.
+usage, parse or size-limit errors and when memory runs out. Settings come
+from argv alone: `search --threads` (default 1) sets the worker count.
 
 `_emit` writes every JSON report: one line, `json.dumps`'s default separators.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from itertools import chain
@@ -65,17 +65,6 @@ def _parse_symbol_arg(n: int, text: str) -> generators.Symbol:
     if too_long:
         raise InvalidSymbol(f"member {too_long} outside [1, {n - 1}]")
     return generators.make_symbol(n, members)
-
-
-def _threads(args) -> int:
-    """--threads, else QL_THREADS, else 1; search rejects counts below 1."""
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("QL_THREADS") or "1"
-    try:
-        return int(env)
-    except ValueError:
-        raise QuadTourError(f"QL_THREADS must be a positive integer, got {env!r}") from None
 
 
 # --- gen ---------------------------------------------------------------
@@ -189,7 +178,7 @@ def cmd_search(args) -> int:
               [f"first hit: {list(first) if first else 'none'}"])
         return 0 if first else 1
 
-    res = symbols.search(args.n, threads=_threads(args))
+    res = symbols.search(args.n, threads=args.threads)
     # tuples serialize as JSON arrays; the hit lines render only in text mode
     result = {"hits": res.hits, "hit_count": len(res.hits), "examined": res.examined}
     report = _report("search", inputs, result)
@@ -300,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--first", dest="mode", action="store_const", const="first")
     mode.add_argument("--family", dest="mode", action="store_const", const="family")
     search.set_defaults(mode="all")
-    search.add_argument("--threads", type=int)
+    search.add_argument("--threads", type=int, default=1)
     search.add_argument("--json", action="store_true")
     search.set_defaults(func=cmd_search)
 
@@ -328,6 +317,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (QuadTourError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # str() of a MemoryError is usually empty
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -358,24 +358,20 @@ class SpecialVertices(NamedTuple):
 
 def special_vertices(t: Tournament) -> SpecialVertices:
     """The transmitter (out-degree n-1) and receiver (in-degree n-1), if any."""
-    transmitter = receiver = None
+    # At most one vertex has each extreme score; n = 1 gives (0, 0).
+    scores = t.scores()
     top = t.n - 1
-    for v, row in enumerate(t.rows):
-        score = row.bit_count()
-        if score == top:
-            transmitter = v
-        if score == 0:  # in-degree n - 1
-            receiver = v
-    return SpecialVertices(transmitter, receiver)
+    return SpecialVertices(scores.index(top) if top in scores else None,
+                           scores.index(0) if 0 in scores else None)
 
 
-def is_isomorphic(t1: Tournament, t2: Tournament, *, max_n: int = ISOMORPHISM_MAX_N) -> bool:
+def is_isomorphic(t1: Tournament, t2: Tournament) -> bool:
     """Decide isomorphism by score-class pruned permutation search."""
     if t1.n != t2.n:
         return False
     n = t1.n
-    if n > max_n:
-        raise SizeLimitExceeded(f"isomorphism search refused for n={n} > {max_n}")
+    if n > ISOMORPHISM_MAX_N:
+        raise SizeLimitExceeded(f"isomorphism search refused for n={n} > {ISOMORPHISM_MAX_N}")
     if sorted(t1.scores()) != sorted(t2.scores()):
         return False
 

@@ -115,6 +115,15 @@ def is_strongly_connected(t: Tournament) -> bool:
     return all(reachable_from(t, v) == t.full_mask for v in range(t.n))
 
 
+def brute_special_vertices(t: Tournament) -> tuple:
+    """(transmitter, receiver) by counting each vertex's arcs one by one."""
+    scores = [sum(t.has_arc(v, w) for w in range(t.n)) for v in range(t.n)]
+    transmitters = [v for v in range(t.n) if scores[v] == t.n - 1]
+    receivers = [v for v in range(t.n) if scores[v] == 0]
+    assert len(transmitters) <= 1 and len(receivers) <= 1
+    return (transmitters or [None])[0], (receivers or [None])[0]
+
+
 def brute_out_quadrangular(t: Tournament) -> bool:
     """Direct definition via explicit vertex sets, independent of bit tricks."""
     outs = [set(iter_bits(t.rows[v])) for v in range(t.n)]

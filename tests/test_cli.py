@@ -2,12 +2,18 @@
 
 import hashlib
 import json
+import os
 import random
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quadtour import matrixio, theorems
+import quadtour
+from quadtour import generators, matrixio, theorems
 from quadtour.cli import main
 from quadtour.core import Tournament, iter_bits
 from quadtour.errors import MatrixParseError
@@ -299,21 +305,39 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("env, threads", [
-        (None, "0"), (None, "-4"), ("x", None), ("0", None), ("2.5", None),
-    ])
-    def test_bad_thread_count_is_two(self, capsys, monkeypatch, env, threads):
-        monkeypatch.delenv("QL_THREADS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("QL_THREADS", env)
-        argv = ["search", "--n", "11"] + (["--threads", threads] if threads else [])
-        code, out, err = run(capsys, argv)
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_bad_thread_count_is_two(self, capsys, threads):
+        code, out, err = run(capsys, ["search", "--n", "11", "--threads", threads])
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
 
-    def test_threads_flag_overrides_environment(self, capsys, monkeypatch):
+    def test_environment_does_not_set_threads(self, capsys, monkeypatch):
+        monkeypatch.delenv("QL_THREADS", raising=False)
+        plain = run(capsys, ["search", "--n", "11"])
         monkeypatch.setenv("QL_THREADS", "x")
-        assert run(capsys, ["search", "--n", "11", "--threads", "1"])[0] == 0
+        assert plain[0] == 0
+        assert run(capsys, ["search", "--n", "11"])[:2] == plain[:2]
+
+    def test_out_of_memory_is_two(self, capsys, monkeypatch):
+        def exhausted(n, seed):
+            raise MemoryError
+
+        monkeypatch.setattr(generators, "random_tournament", exhausted)
+        code, out, err = run(capsys, ["gen", "random", "--n", "5", "--seed", "0"])
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
+    def test_out_of_memory_under_address_space_cap_is_two(self):
+        # [0] * n alone needs 2.4 GB at this n; the cap is 1 GB.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        script = "import sys; from quadtour.cli import main; sys.exit(main(sys.argv[1:]))"
+        src = str(Path(quadtour.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "gen", "random", "--n", "300000000", "--seed", "0"],
+            env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap,
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "exhaustive", "--n-max", "3", "--threads", "2"],

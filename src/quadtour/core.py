@@ -31,10 +31,9 @@ ISOMORPHISM_MAX_N = 12
 # Pair scans of at most this many rows test every pair in order: below about
 # 200 rows a row's screen costs more than the tests it saves.
 _PLAIN_ROWS = 200
-# Screen columns of a longer pair scan, spread evenly over its width: every
-# other one makes the first stage, and the rest, between them, are read only
-# for rows the first stage leaves with an open later row.  One lookup table
-# of 2^_GROUP entries covers _GROUP of them.
+# Screen columns of a longer pair scan, spread evenly over its width and
+# counted in one pass.  One lookup table of 2^_GROUP entries covers _GROUP
+# of them.
 _SCREEN = 128
 _GROUP = 8
 _SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' text as 0/1 bytes
@@ -85,7 +84,7 @@ def _pairs_sharing(rows: Sequence[int], c: int) -> Iterator[tuple]:
     """Each pair u < v whose rows share exactly c bits, in lexicographic order.
 
     Scans of at most _PLAIN_ROWS rows test every pair in order.  Longer ones
-    walk the screen (_screen), a table-driven count over _SCREEN spread
+    walk the screen (_screen), one table-driven count over _SCREEN spread
     columns: row u tests only the later rows it leaves open, or every later
     row in order where it gives None.  The screen drops only pairs sharing
     more than c bits, so the output is the same.  The scan is lazy: a caller
@@ -113,52 +112,31 @@ def _screen(rows: Sequence[int], c: int) -> Iterator[Optional[int]]:
     The screen is _SCREEN columns spread evenly over the width (every column
     of narrower rows; all-zero rows read as one empty column), read once
     from the transpose.  A bit-sliced count over the screen columns row u
-    holds marks the rows meeting u in one of them (ones) and in two or more
-    (twos).  These share at least that many bits with u, so for c = 1 only
-    the rows outside twos stay open, and for c = 0 those outside ones.
-
-    The count runs in two stages of table lookups (_screen_stage): first
-    over every other spot, which spreads half the columns evenly, then over
-    the spots between them.  Only a row that the first stage leaves with an
-    open later row goes on to the second, whose tables are built when the
-    first such row needs them.
+    holds, one table lookup per group of them (_screen_tables), marks the
+    rows meeting u in one of them (ones) and in two or more (twos).  These
+    share at least that many bits with u, so for c = 1 only the rows outside
+    twos stay open, and for c = 0 those outside ones.
     """
     yield None
     n = len(rows)
     width = max(rows).bit_length() or 1
-    spots = [i * width // _SCREEN for i in range(_SCREEN)]
-    first = sorted(set(spots[::2]))
-    second = sorted(set(spots[1::2]) - set(first))
-    screen = columns(width, rows, first + second)
-    stage, more = _screen_stage(screen[:len(first)], n, c), None
-
-    if c:
-        def count(stage, u, ones, twos):
-            tables, held = stage
-            for o, t in map(getitem, tables, held[u]):
-                twos |= t | ones & o
-                ones |= o
-            return ones, twos
-    else:
-        def count(stage, u, ones, _):
-            tables, held = stage
-            ones = reduce(or_, map(getitem, tables, held[u]), ones)
-            return ones, ones
-
+    spots = sorted({i * width // _SCREEN for i in range(_SCREEN)})
+    tables, held = _screen_tables(columns(width, rows, spots), n, c)
     later = (1 << n) - 2  # the rows after row 0
     for u in range(1, n):
         later &= later - 1
-        ones, settled = count(stage, u, 0, 0)
+        if c:
+            ones = settled = 0
+            for o, t in map(getitem, tables, held[u]):
+                settled |= t | ones & o
+                ones |= o
+        else:
+            settled = reduce(or_, map(getitem, tables, held[u]), 0)
         left = later & ~settled
-        if left and second:
-            if more is None:
-                more = _screen_stage(screen[len(first):], n, c)
-            ones, settled = count(more, u, ones, settled)
-            left &= ~settled
         yield left if 4 * left.bit_count() <= n - 1 - u else None
 
 
-def _screen_stage(screen: Sequence[int], n: int, c: int) -> tuple:
+def _screen_tables(screen: Sequence[int], n: int, c: int) -> tuple:
     """The lookup tables of n-bit screen columns, one per _GROUP of them,
     and held[u], which has one byte per group with bit j set iff row u holds
     the group's column j.

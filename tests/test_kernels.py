@@ -6,13 +6,14 @@ quadratic-residue tournaments, so both verdicts of each scan are reached at
 sizes where a witness need not sit at the first pair.  Both row-pair
 questions (exactly one common bit, and none) are one scan,
 core._pairs_sharing(rows, c); past 200 rows it walks a screen that settles
-most pairs by a count over 128 spread screen columns, read from lookup
-tables in two stages.  The screen is checked on its own against brute force
-and against a column-by-column count over the same columns, on ragged last
-groups, all-zero rows and rows that do and do not reach the second stage,
-and the scan, for both c, walks it on any input when the row gate is
-patched to 0: tournaments with 61 <= n <= 160 and their duals, patterns
-up to 300 columns wide and 0.01 to 0.9 dense,
+most pairs by one count over 128 spread screen columns, read from lookup
+tables.  The screen is checked on its own against brute force and against
+a column-by-column count over the same columns, on ragged last groups and
+all-zero rows, with one table build per scan and none for a caller that
+stops at row 0 (tests/test_properties.py also draws random 201- to 300-row
+patterns, which walk it unpatched).  The scan, for both c, walks it on any
+input when the row gate is patched to 0: tournaments with 61 <= n <= 160
+and their duals, patterns up to 300 columns wide and 0.01 to 0.9 dense,
 rows with empty low words, unrelabelled glues, a transitive tournament,
 all-zero rows, rows holding fewer than two screen columns, and hand-made
 pairs whose common bits sit on and off the screen columns.  Tournaments of
@@ -388,46 +389,34 @@ def test_kernel_on_random_patterns_matches_brute():
         _assert_kernel_matches_brute(rows)
 
 
-def _stages(rows) -> tuple:
-    """The screen columns of each stage: every other spot, then the rest."""
-    width = max(rows).bit_length() or 1
-    spots = [i * width // _SCREEN for i in range(_SCREEN)]
-    first = sorted(set(spots[::2]))
-    return first, sorted(set(spots[1::2]) - set(first))
-
-
 def test_screen_matches_column_by_column_reference(monkeypatch):
-    build = core._screen_stage
+    build = core._screen_tables
     built = []
 
     def counted(screen, n, c):
         built.append(len(screen))
         return build(screen, n, c)
 
-    monkeypatch.setattr(core, "_screen_stage", counted)
+    monkeypatch.setattr(core, "_screen_tables", counted)
     rng = random.Random(128)
     glue = _glue(rotational(family_symbol(151)))
-    # Widths 45 and 100 end a stage in a group of fewer than 8 columns.
+    # Widths 45 and 100 end the screen in a group of fewer than 8 columns.
     ragged = [tuple(rng.getrandbits(width) | 1 << width - 1 for _ in range(70))
               for width in (45, 100)]
     zeros = [(0,) * 40, tuple(0 if i % 5 == 0 else row for i, row in enumerate(ragged[1]))]
     inputs = KERNEL_PATTERNS + ragged + zeros + [
         rows for t in [glue, relabel(glue, rng)] + WIDE for rows in (t.rows, dual(t).rows)]
-    assert any(len(stage) % 8 for rows in ragged for stage in _stages(rows))
-    consulted = skipped = 0
+    assert all(len(_screen_columns(width)) % 8 for width in (45, 100))
     for rows in inputs:
-        first, second = _stages(rows)
-        assert sorted(first + second) == _screen_columns(max(rows).bit_length() or 1)
+        screen = _screen_columns(max(rows).bit_length() or 1)
         for c in (0, 1):
             del built[:]
-            assert list(_screen(rows, c)) == brute_screen(rows, c, first + second), (rows, c)
-            # A row past row 0 goes on to the second stage iff the first
-            # leaves it an open later row; the second is built only then.
-            goes_on = [left != 0 for left in brute_screen(rows, c, first)[1:]]
-            assert built == [len(first)] + [len(second)] * (any(goes_on) and bool(second))
-            consulted += sum(goes_on) if second else 0
-            skipped += goes_on.count(False)
-    assert consulted and skipped
+            assert list(_screen(rows, c)) == brute_screen(rows, c, screen), (rows, c)
+            # One table build per screened scan, over every screen column.
+            assert built == [len(screen)]
+            # A caller that stops at row 0 builds nothing.
+            del built[:]
+            assert next(_screen(rows, c)) is None and built == []
 
 
 def _transitive(n: int) -> Tournament:

@@ -28,11 +28,11 @@ from .generators import Symbol, make_symbol
 SEARCH_MAX_N = 31
 
 # search scans fewer symbols than this in-process, whatever `threads` says.
-# On a 2-CPU host (Python 3.11) a two-worker pool cost more than it saved up
-# to n = 27 (8,192 symbols): `search --n N --all` took 37/41/49/62 ms with
-# one worker and 51/54/60/69 ms with two at n = 21/23/25/27 (median of 11
-# runs).  The cutoff stays below that crossover so that the benchmark
-# self-test's two-worker n = 23 search (2,048 symbols) still runs the pool.
+# Two workers are slower than one at every n the benchmark runs (2 CPUs,
+# Python 3.11, in-process, best of 6): 0.064 against 0.088 s at n = 29 and
+# 0.139 against 0.174 s at n = 31.  The cutoff is 2,048 because the self-test's
+# two-worker n = 23 search (2,048 symbols) and the exact per-symbol
+# `symbol_criterion` span gate, which counts in-process calls, need the pool.
 _POOL_MIN_SYMBOLS = 2048
 
 

@@ -12,7 +12,7 @@ tournament: the O(n) facts are slots filled when it is built; the costlier ones
 are properties over private slots, each computed at most once, on first read,
 and out_quad and in_quad may be assigned to force them.  Build it per
 instance, pass it to classify and every verifier, and drop it with the
-instance.  Called without one, classify and each verifier build their own.  A
+instance.  Called without one, classify builds its own.  A
 condition on the reversal (T - S)^r of rest = T - S reads rest's out-rows as
 the reversal's in-rows, so it builds no dual.  RULES lists only conditions
 that can decide a verdict: one that follows from the others of its rule is
@@ -60,12 +60,12 @@ class Facts:
     forces that verdict, before or after a read.  Nothing is cached on the
     Tournament itself."""
 
-    __slots__ = ("t", "scores", "special", "low_out", "low_in", "regular",
+    __slots__ = ("t", "special", "low_out", "low_in", "regular",
                  "_decomposition", "_out_quad", "_in_quad")
 
     def __init__(self, t: Tournament):
         self.t = t
-        self.scores = scores = t.scores()
+        scores = t.scores()
         self.special = special_vertices(t)
         self.low_out = [v for v, s in enumerate(scores) if s == 1]
         self.low_in = [v for v, s in enumerate(scores) if s == t.n - 2]
@@ -233,7 +233,7 @@ def classify(t: Tournament, facts: Optional[Facts] = None) -> ClassificationTrac
 
 
 # --- per-theorem verifiers -------------------------------------------------
-# Each takes an optional Facts(t) shared with classify and the other verifiers.
+# Each reads the instance's Facts, shared with classify and the other verifiers.
 
 
 def _verdict(rule: Rule, f: Facts, subject) -> bool:
@@ -241,9 +241,8 @@ def _verdict(rule: Rule, f: Facts, subject) -> bool:
     return rule.combine(map(_value, rule.conditions(f, subject)))
 
 
-def _check(rule: Rule, t: Tournament, facts: Optional[Facts]) -> bool:
+def _check(rule: Rule, f: Facts) -> bool:
     """The rule's verdict on every subject equals the direct oracle."""
-    f = Facts(t) if facts is None else facts
     subjects = rule.subjects(f)
     if not subjects:
         raise HypothesisNotSatisfied(rule.hypothesis)
@@ -254,47 +253,46 @@ def _check(rule: Rule, t: Tournament, facts: Optional[Facts]) -> bool:
     return True
 
 
-def verify_transmitter_receiver(t: Tournament, facts: Optional[Facts] = None) -> bool:
-    return _check(RULES["transmitter-receiver"], t, facts)
+def verify_transmitter_receiver(f: Facts) -> bool:
+    return _check(RULES["transmitter-receiver"], f)
 
 
-def verify_transmitter_only(t: Tournament, facts: Optional[Facts] = None) -> bool:
-    return _check(RULES["transmitter-only"], t, facts)
+def verify_transmitter_only(f: Facts) -> bool:
+    return _check(RULES["transmitter-only"], f)
 
 
-def verify_receiver_only(t: Tournament, facts: Optional[Facts] = None) -> bool:
-    return _check(RULES["receiver-only"], t, facts)
+def verify_receiver_only(f: Facts) -> bool:
+    return _check(RULES["receiver-only"], f)
 
 
-def verify_not_strong(t: Tournament, facts: Optional[Facts] = None) -> bool:
-    return _check(RULES["not-strong"], t, facts)
+def verify_not_strong(f: Facts) -> bool:
+    return _check(RULES["not-strong"], f)
 
 
-def verify_outdeg_one(t: Tournament, facts: Optional[Facts] = None) -> bool:
-    return _check(RULES["out-degree-one"], t, facts)
+def verify_outdeg_one(f: Facts) -> bool:
+    return _check(RULES["out-degree-one"], f)
 
 
-def verify_indeg_one(t: Tournament, facts: Optional[Facts] = None) -> bool:
-    return _check(RULES["in-degree-one"], t, facts)
+def verify_indeg_one(f: Facts) -> bool:
+    return _check(RULES["in-degree-one"], f)
 
 
-def verify_degree_lemmas(t: Tournament, facts: Optional[Facts] = None) -> bool:
+def verify_degree_lemmas(f: Facts) -> bool:
     """Forced structure around degree-1 vertices of quadrangular tournaments.
 
     If x has out-degree 1 with x -> y then O(y) = V - {x, y}; dually for
     in-degree 1.
     """
-    f = Facts(t) if facts is None else facts
     if not f.quadrangular:
         raise HypothesisNotSatisfied("quadrangular tournament")
     if not f.low_out and not f.low_in:
         raise HypothesisNotSatisfied("a vertex of out-degree 1 or in-degree 1")
-    return all(_lone_neighbour(t, x, "O")[1] for x in f.low_out) and all(
-        _lone_neighbour(t, x, "I")[1] for x in f.low_in
+    return all(_lone_neighbour(f.t, x, "O")[1] for x in f.low_out) and all(
+        _lone_neighbour(f.t, x, "I")[1] for x in f.low_in
     )
 
 
-def verify_subtournament_degrees(t: Tournament, facts: Optional[Facts] = None) -> bool:
+def verify_subtournament_degrees(f: Facts) -> bool:
     """Outset/inset sub-tournament degree facts, which imply the min-degree-4 corollaries.
 
     No vertex of T[O(v)] has out-degree 1 if T is out-quadrangular, none of T[I(v)]
@@ -303,7 +301,7 @@ def verify_subtournament_degrees(t: Tournament, facts: Optional[Facts] = None) -
     vertex of out-degree 1; dually.
     All statements are implications and hold vacuously when their hypotheses fail.
     """
-    f = Facts(t) if facts is None else facts
+    t = f.t
     sides = (
         (f.out_quad, t.out_mask, Tournament.out_degree),
         (f.in_quad, t.in_mask, Tournament.in_degree),
@@ -320,9 +318,8 @@ def verify_subtournament_degrees(t: Tournament, facts: Optional[Facts] = None) -
     return True
 
 
-def verify_regular(t: Tournament, facts: Optional[Facts] = None) -> bool:
+def verify_regular(f: Facts) -> bool:
     """Out/in/both verdicts coincide on regular tournaments; gamma >= 4 suffices."""
-    f = Facts(t) if facts is None else facts
     if not f.regular:
         raise NotRegular(RULES["regular"].hypothesis)
     # The regular rule's verdict is "gamma >= 4 or out-quadrangular".
@@ -403,13 +400,13 @@ def sweep(instances: Iterable[Tournament]) -> Sweep:
         agreements += 1
         for name, verifier in VERIFIERS.items():
             try:
-                agreed = verifier(t, f)
+                agreed = verifier(f)
             except HypothesisNotSatisfied:
                 continue
             if not agreed:
                 failure = (name, t)
                 break
             passes[name] += 1
-        if failure is None and f.regular and not verify_regular(t, f):
+        if failure is None and f.regular and not verify_regular(f):
             failure = ("regular", t)
     return Sweep(count, agreements, passes, failure)

@@ -338,12 +338,13 @@ def brute_induced(t: Tournament, keep) -> Tournament:
     return Tournament(len(kept), rows)
 
 
-def brute_subtournament_degrees(t: Tournament, f) -> bool:
+def brute_subtournament_degrees(f) -> bool:
     """verify_subtournament_degrees read off row intersections, with the
     min-degree-4 corollaries checked as well: w in s = rows[v] has degree
-    |rows[w] & s| in T[s], on the out-rows when f.out_quad and on the in-rows
-    (the reversal's out-rows) when f.in_quad; f is a Facts(t), possibly with
-    forced verdicts."""
+    |rows[w] & s| in T[s], on the out-rows of t = f.t when f.out_quad and on
+    the in-rows (the reversal's out-rows) when f.in_quad; f is a Facts,
+    possibly with forced verdicts."""
+    t = f.t
     for quad, rows in ((f.out_quad, t.rows), (f.in_quad, [t.in_mask(v) for v in range(t.n)])):
         if quad and (any((rows[w] & s).bit_count() == 1 for s in rows for w in iter_bits(s))
                      or 2 <= min(r.bit_count() for r in rows) < 4):

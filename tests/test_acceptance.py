@@ -28,7 +28,7 @@ from quadtour.orthogonality import (
     quadrangularity,
 )
 from quadtour.symbols import enumerate_symbols, family_symbol, search, symbol_criterion
-from quadtour.theorems import classify, verify_transmitter_receiver
+from quadtour.theorems import Facts, classify, verify_transmitter_receiver
 
 
 def report(number: int, label: str, started: float, budget: float) -> None:
@@ -58,7 +58,7 @@ def test_03_augmented_qr7_quadrangular():
     trace = classify(t)
     assert trace.rule == "transmitter-receiver"
     assert oracle and trace.verdict and oracle == trace.verdict
-    assert verify_transmitter_receiver(t)
+    assert verify_transmitter_receiver(Facts(t))
     report(3, "augment(QR_7) quadrangular, theorem branch agrees", started, 1.0)
 
 

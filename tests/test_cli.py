@@ -563,7 +563,7 @@ class TestVerifyCommand:
         assert set(result["passes"].values()) == {0}
 
     def test_regular_disagreement_is_reported(self, monkeypatch, capsys):
-        monkeypatch.setattr(theorems, "verify_regular", lambda t, facts=None: False)
+        monkeypatch.setattr(theorems, "verify_regular", lambda f: False)
         code, result = self._failed_sweep(capsys)
         assert (code, result["failure"]["verifier"]) == (1, "regular")
         assert result["classify_agreements"] == 1

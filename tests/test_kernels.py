@@ -809,8 +809,8 @@ def test_subtournament_degrees_match_row_reference():
             for in_quad in (True, False):
                 f = Facts(t)
                 f.out_quad, f.in_quad = out_quad, in_quad
-                verdict = verify_subtournament_degrees(t, f)
-                assert verdict == brute_subtournament_degrees(t, f), (t, out_quad, in_quad)
+                verdict = verify_subtournament_degrees(f)
+                assert verdict == brute_subtournament_degrees(f), (t, out_quad, in_quad)
                 verdicts.add((out_quad, in_quad, verdict))
     assert verdicts == {(o, i, v) for o in (True, False) for i in (True, False)
                         for v in (True, False)} - {(False, False, False)}

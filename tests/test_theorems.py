@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import inspect
 import json
 import math
 import operator
@@ -155,18 +156,18 @@ ERRORS = {cls: (args, message) for cls, args, message in [
 
 class TestVerifiers:
     def test_transmitter_receiver_instances(self):
-        assert verify_transmitter_receiver(augment(QR7, True, True))
-        assert verify_transmitter_receiver(augment(three_cycle(), True, True))
-        assert verify_transmitter_receiver(transitive_triple())
+        assert verify_transmitter_receiver(Facts(augment(QR7, True, True)))
+        assert verify_transmitter_receiver(Facts(augment(three_cycle(), True, True)))
+        assert verify_transmitter_receiver(Facts(transitive_triple()))
 
     def test_transmitter_receiver_hypothesis(self):
         with pytest.raises(HypothesisNotSatisfied):
-            verify_transmitter_receiver(three_cycle())
+            verify_transmitter_receiver(Facts(three_cycle()))
 
     def test_hypothesis_not_satisfied_contract(self):
         # Its message and pickling are checked with every error's below.
         with pytest.raises(HypothesisNotSatisfied) as info:
-            verify_transmitter_only(QR7)
+            verify_transmitter_only(Facts(QR7))
         assert info.value.hypothesis == theorems.RULES["transmitter-only"].hypothesis
 
     def test_error_table_covers_every_error(self):
@@ -186,10 +187,10 @@ class TestVerifiers:
                 assert getattr(exc, name) == getattr(back, name) == args[i]
 
     def test_one_sided_instances(self):
-        assert verify_transmitter_only(augment(QR7, True, False))
-        assert verify_receiver_only(augment(QR7, False, True))
+        assert verify_transmitter_only(Facts(augment(QR7, True, False)))
+        assert verify_receiver_only(Facts(augment(QR7, False, True)))
         with pytest.raises(HypothesisNotSatisfied):
-            verify_transmitter_only(augment(QR7, True, True))
+            verify_transmitter_only(Facts(augment(QR7, True, True)))
 
     def test_exhaustive_admissible_corpus(self):
         verifiers = (
@@ -205,7 +206,7 @@ class TestVerifiers:
             for t in all_tournaments(n):
                 for verifier in verifiers:
                     try:
-                        agreed = verifier(t)
+                        agreed = verifier(Facts(t))
                     except HypothesisNotSatisfied:
                         continue
                     assert agreed, (verifier.__name__, t.rows)
@@ -219,12 +220,19 @@ class TestVerifiers:
         from quadtour.core import validate
 
         t = validate(6, rows)
-        assert verify_not_strong(t)
+        assert verify_not_strong(Facts(t))
 
     def test_verifiers_keep_their_names(self):
         # test_exhaustive_admissible_corpus counts applications per __name__.
         for fn in theorems.VERIFIERS.values():
             assert getattr(theorems, fn.__name__) is fn
+
+    def test_verifiers_take_one_facts(self):
+        # A verifier reads the tournament from its Facts, so it cannot be
+        # handed one tournament and another's facts.
+        for fn in SHARED_VERIFIERS.values():
+            params = list(inspect.signature(fn).parameters.values())
+            assert len(params) == 1 and params[0].default is inspect.Parameter.empty, fn
 
     def test_random_corpus_all_verifiers(self):
         verifiers = (
@@ -239,23 +247,23 @@ class TestVerifiers:
             t = random_tournament(3 + seed % 10, seed)
             for verifier in verifiers:
                 try:
-                    assert verifier(t), (verifier.__name__, t.rows)
+                    assert verifier(Facts(t)), (verifier.__name__, t.rows)
                 except HypothesisNotSatisfied:
                     pass
 
 
 class TestDegreeLemmas:
     def test_three_cycle(self):
-        assert verify_degree_lemmas(three_cycle())
+        assert verify_degree_lemmas(Facts(three_cycle()))
 
     def test_single_arc_vacuous(self):
-        assert verify_degree_lemmas(single_arc())
+        assert verify_degree_lemmas(Facts(single_arc()))
 
     def test_hypothesis(self):
         with pytest.raises(HypothesisNotSatisfied):
-            verify_degree_lemmas(transitive_triple())  # not quadrangular
+            verify_degree_lemmas(Facts(transitive_triple()))  # not quadrangular
         with pytest.raises(HypothesisNotSatisfied):
-            verify_degree_lemmas(ROT11)  # no degree-1 vertex
+            verify_degree_lemmas(Facts(ROT11))  # no degree-1 vertex
 
     def test_exhaustive_sweep(self):
         for n in range(2, 7):
@@ -263,32 +271,32 @@ class TestDegreeLemmas:
                 if not is_quadrangular(t):
                     continue
                 if t.min_out_degree() == 1 or t.min_in_degree() == 1:
-                    assert verify_degree_lemmas(t)
+                    assert verify_degree_lemmas(Facts(t))
 
 
 class TestSubtournamentDegrees:
     def test_three_cycle(self):
-        assert verify_subtournament_degrees(three_cycle())
+        assert verify_subtournament_degrees(Facts(three_cycle()))
 
     def test_rot11_outsets(self):
-        assert verify_subtournament_degrees(ROT11)
+        assert verify_subtournament_degrees(Facts(ROT11))
 
     def test_exhaustive_no_min_degree_two_or_three(self):
         for n in range(1, 7):
             for t in all_tournaments(n):
-                assert verify_subtournament_degrees(t)
+                assert verify_subtournament_degrees(Facts(t))
 
 
 class TestRegular:
     def test_qr7_all_false(self):
-        assert verify_regular(QR7)
+        assert verify_regular(Facts(QR7))
         out_rep, in_rep = quadrangularity(QR7, "both")
         assert not out_rep.verdict and not in_rep.verdict
 
     def test_rot11_all_true(self):
         qr19, qr23 = quadratic_residue(19), quadratic_residue(23)
         for t in (ROT11, qr19, qr23):
-            assert verify_regular(t)
+            assert verify_regular(Facts(t))
             out_rep, in_rep = quadrangularity(t, "both")
             assert out_rep.verdict and in_rep.verdict
         # gamma >= 4 settles the regular rule on its own
@@ -297,7 +305,7 @@ class TestRegular:
 
     def test_not_regular(self):
         with pytest.raises(NotRegular) as info:
-            verify_regular(transitive_triple())
+            verify_regular(Facts(transitive_triple()))
         assert isinstance(info.value, HypothesisNotSatisfied)
         assert info.value.hypothesis == theorems.RULES["regular"].hypothesis
         assert str(info.value) == "hypothesis not satisfied: regular tournament"
@@ -307,12 +315,12 @@ class TestRegular:
         rule = theorems.RULES["regular"]
         monkeypatch.setitem(theorems.RULES, "regular", rule._replace(
             conditions=lambda f, _: [("gamma>=4", True)]))
-        assert not verify_regular(QR7)
+        assert not verify_regular(Facts(QR7))
 
     def test_all_regular_on_five(self):
         count = 0
         for t in regular_tournaments(5):
-            assert verify_regular(t)
+            assert verify_regular(Facts(t))
             count += 1
         assert count == 24
 
@@ -396,9 +404,9 @@ class TestFamilyInstances:
 SHARED_VERIFIERS = {**theorems.VERIFIERS, "regular": verify_regular}
 
 
-def _outcome(fn, *args):
+def _outcome(fn, facts):
     try:
-        return fn(*args)
+        return fn(facts)
     except QuadTourError as exc:
         return type(exc)
 
@@ -413,14 +421,15 @@ class TestSharedFacts:
         # Both orders: classify then the verifiers, and the verifiers first.
         for t in SWEEP_CORPUS:
             trace = classify(t)
-            outcomes = {name: _outcome(fn, t) for name, fn in SHARED_VERIFIERS.items()}
+            outcomes = {name: _outcome(fn, Facts(t))
+                        for name, fn in SHARED_VERIFIERS.items()}
             facts = Facts(t)
             assert classify(t, facts) == trace, t
             for name, fn in SHARED_VERIFIERS.items():
-                assert _outcome(fn, t, facts) == outcomes[name], (name, t)
+                assert _outcome(fn, facts) == outcomes[name], (name, t)
             facts = Facts(t)
             for name, fn in SHARED_VERIFIERS.items():
-                assert _outcome(fn, t, facts) == outcomes[name], (name, t)
+                assert _outcome(fn, facts) == outcomes[name], (name, t)
             assert classify(t, facts) == trace, t
 
     def test_each_fact_computed_once_per_instance(self, monkeypatch, capsys):
@@ -449,9 +458,9 @@ class TestSharedFacts:
         def run_all(t, facts):
             classify(t, facts)
             for fn in theorems.VERIFIERS.values():
-                _outcome(fn, t, facts)
+                _outcome(fn, facts)
             if facts.regular:
-                verify_regular(t, facts)
+                verify_regular(facts)
 
         for t in [t for n in range(1, 6) for t in all_tournaments(n)] + cli._named_instances():
             calls.clear()
@@ -483,7 +492,8 @@ class TestSharedFacts:
         assert result["instances"] == 1 + 2 + 8 + 64
         verifier = SHARED_VERIFIERS[name]
         corpus = [t for n in range(1, 5) for t in brute_all_tournaments(n)]
-        first_failing = next(i for i, t in enumerate(corpus) if _outcome(verifier, t) is False)
+        first_failing = next(i for i, t in enumerate(corpus)
+                             if _outcome(verifier, Facts(t)) is False)
         assert result["failure"]["matrix"] == to_json_adjacency(corpus[first_failing])
         # classify agreed on every instance up to and including the failing one
         assert result["classify_agreements"] == first_failing + 1 < result["instances"]
@@ -511,7 +521,7 @@ class TestSharedFacts:
         _flip_rule(monkeypatch, rule.name, first=False)
         facts = Facts(t)
         assert classify(t, facts) == classify(t)
-        assert not verify_outdeg_one(t, facts)
+        assert not verify_outdeg_one(facts)
 
 
 # Every tournament with n <= 4, then the named corpus of `verify theorems`.
@@ -556,21 +566,24 @@ class TestSweep:
         not-strong verifier disagrees on SMALL_SWEEP[fail_at]."""
         log = []
 
-        def logged(name, fn):
-            def check(t, *args):
+        def logged(name, fn, instance=lambda t: t):
+            def check(x, *args):
+                t = instance(x)
                 log.append((name, id(t)))
                 if name == "not-strong" and fail_at is not None and t is SMALL_SWEEP[fail_at]:
                     return False
-                return fn(t, *args)
+                return fn(x, *args)
             return check
 
+        # classify and the oracle take the tournament, the verifiers its Facts.
+        of_facts = operator.attrgetter("t")
         monkeypatch.setattr(theorems, "classify", logged("classify", theorems.classify))
         monkeypatch.setattr(theorems, "is_quadrangular",
                             logged("oracle", theorems.is_quadrangular))
         for name, fn in theorems.VERIFIERS.items():
-            monkeypatch.setitem(theorems.VERIFIERS, name, logged(name, fn))
+            monkeypatch.setitem(theorems.VERIFIERS, name, logged(name, fn, of_facts))
         monkeypatch.setattr(theorems, "verify_regular",
-                            logged("regular", theorems.verify_regular))
+                            logged("regular", theorems.verify_regular, of_facts))
         return log
 
     def _expected(self, t):
@@ -633,7 +646,7 @@ def test_every_condition_decides(monkeypatch):
     for name, verifier in RULE_VERIFIERS.items():
         rule = theorems.RULES[name]
         cases = [f for f in corpus if rule.subjects(f)]
-        assert cases and all(verifier(f.t, f) for f in cases), name
+        assert cases and all(verifier(f) for f in cases), name
         conditions = dict.fromkeys(c for f in cases for s in rule.subjects(f)
                                    for c, _ in rule.conditions(f, s))
         neutral = rule.combine(())
@@ -641,7 +654,7 @@ def test_every_condition_decides(monkeypatch):
             for kind, mutate in (("negated", operator.not_), ("neutral", lambda _: neutral)):
                 with monkeypatch.context() as m:
                     m.setitem(theorems.RULES, name, _mutant(rule, condition, mutate))
-                    if all(verifier(f.t, f) for f in cases):
+                    if all(verifier(f) for f in cases):
                         survivors.append((name, condition, kind))
     assert not survivors
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from functools import reduce
-from operator import getitem, itemgetter, or_
+from operator import getitem, or_
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -36,7 +36,6 @@ _PLAIN_ROWS = 200
 # of them.
 _SCREEN = 128
 _GROUP = 8
-_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' text as 0/1 bytes
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -47,18 +46,14 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def bit_strings(n: int, rows: Sequence[int]) -> list:
-    """Each row as n '0'/'1' characters, character c being bit c (n >= 1)."""
-    fmt = f"0{n}b"
-    return [format(row, fmt)[::-1] for row in rows]
-
-
 def columns(n: int, rows: Sequence[int], picks: Optional[Sequence[int]] = None) -> list:
     """The n column bitmasks of an n-wide 0/1 matrix, or only those listed in
     picks: bit r of column c is entry (r, c).
 
     Rows are joined MSB-first, last row first, so every n-th character from index
     n-1-c is column c read from its highest bit down (none, so 0, if no rows).
+    This is the library's one transpose: validate, BinaryPattern.transpose,
+    the pair-scan screen (its columns and its held words) and induced read it.
     """
     fmt = f"0{n}b"
     whole = "".join([format(row, fmt) for row in reversed(rows)])
@@ -138,26 +133,21 @@ def _screen(rows: Sequence[int], c: int) -> Iterator[Optional[int]]:
 
 def _screen_tables(screen: Sequence[int], n: int, c: int) -> tuple:
     """The lookup tables of n-bit screen columns, one per _GROUP of them,
-    and held[u], which has one byte per group with bit j set iff row u holds
-    the group's column j.
+    and held[u], word u of the screen's transpose (columns) as one byte per
+    group, with bit j set iff row u holds the group's column j.
 
     Table entry b covers the group's columns j with bit j of b set: for
     c = 0 it is their union, for c = 1 the pair (ones, twos) of the rows
     holding at least one and at least two of them.  Each table is built by
     doubling, as domination._chunk_table is.
     """
-    fmt = f"0{n}b"
-    tables, held = [], []
+    tables = []
     for g in range(0, len(screen), _GROUP):
         table = [(0, 0)] if c else [0]
-        bits = 0
-        for j, col in enumerate(screen[g:g + _GROUP]):
+        for col in screen[g:g + _GROUP]:
             table += [(o | col, t | o & col) for o, t in table] if c else [o | col for o in table]
-            # The text is last row first, so byte u of the big-endian read is row u's.
-            bits |= int.from_bytes(format(col, fmt).encode().translate(_SELECTORS), "big") << j
         tables.append(table)
-        held.append(bits.to_bytes(n, "little"))
-    return tables, list(zip(*held))
+    return tables, [w.to_bytes(len(tables), "little") for w in columns(n, screen)]
 
 
 class Tournament:
@@ -260,7 +250,8 @@ def dual(t: Tournament) -> Tournament:
 
 
 def induced(t: Tournament, keep) -> Tournament:
-    """Sub-tournament on the given vertices, relabelled 0..k-1 in label order."""
+    """Sub-tournament on the given vertices, relabelled 0..k-1 in label order:
+    the reversal of its in-rows, the kept rows' columns at the kept labels."""
     kept = sorted(set(keep))
     if not kept:
         raise EmptyVertexSet("cannot induce on an empty vertex set")
@@ -269,11 +260,7 @@ def induced(t: Tournament, keep) -> Tournament:
         # Name the smallest out-of-range vertex, as a per-vertex check would.
         t.check_vertex(kept[0])
         t.check_vertex(kept[bisect_left(kept, n)])
-    # In the MSB-first string of a row, bit w sits at index n-1-w; picking the
-    # kept bits from the highest down gives the new row MSB-first as well.
-    pick = itemgetter(*[n - 1 - v for v in reversed(kept)])
-    fmt = f"0{n}b"
-    return Tournament(len(kept), [int("".join(pick(format(rows[v], fmt))), 2) for v in kept])
+    return dual(Tournament(len(kept), columns(n, [rows[v] for v in kept], kept)))
 
 
 class StrongDecomposition(NamedTuple):

@@ -37,7 +37,7 @@ class MissingOrDoubleArc(QuadTourError):
 
 
 class InvariantViolation(QuadTourError):
-    """A structural certificate failed; the rows are not a tournament."""
+    """A certificate failed or inputs disagree: not a tournament, or another one's Facts."""
 
 
 class VertexOutOfRange(QuadTourError):

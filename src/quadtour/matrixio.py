@@ -2,7 +2,8 @@
 
 Matrix files carry a vertex count in ASCII decimal digits on the first line
 (after an optional UTF-8 BOM), followed by n lines of exactly n '0'/'1'
-characters; row u column v is 1 iff u beats v.
+characters; row u column v is 1 iff u beats v.  This row text, character
+c of a row being bit c, is read and written only here.
 The body is checked in one pass: every line has length n, and deleting the
 '0' and '1' characters from all lines joined leaves nothing.  Only a body
 that fails this check is read again line by line, to name the first bad line.
@@ -21,10 +22,17 @@ from .errors import MatrixParseError, QuadTourError
 from .orthogonality import BinaryPattern
 
 _DELETE_BITS = str.maketrans("", "", "01")
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # '0'/'1' text as 0/1 bytes
+
+
+def _bit_strings(t: Tournament) -> list:
+    """Each row as n '0'/'1' characters, character c being bit c."""
+    fmt = f"0{t.n}b"
+    return [format(row, fmt)[::-1] for row in t.rows]
 
 
 def render_tournament(t: Tournament) -> str:
-    return "\n".join([str(t.n)] + core.bit_strings(t.n, t.rows)) + "\n"
+    return "\n".join([str(t.n)] + _bit_strings(t)) + "\n"
 
 
 def parse_pattern(text: str) -> BinaryPattern:
@@ -68,10 +76,10 @@ def to_dot(t: Tournament) -> str:
     """DOT digraph with arcs in lexicographic order."""
     heads = [f"{v};\n" for v in range(t.n)]
     parts = ["digraph tournament {\n", *[f"  {head}" for head in heads]]
-    for u, bits in enumerate(core.bit_strings(t.n, t.rows)):
+    for u, bits in enumerate(_bit_strings(t)):
         if "1" in bits:
             tail = f"  {u} -> "
-            parts.append(tail + tail.join(compress(heads, bits.encode().translate(core._SELECTORS))))
+            parts.append(tail + tail.join(compress(heads, bits.encode().translate(_SELECTORS))))
     parts.append("}\n")
     return "".join(parts)
 
@@ -79,5 +87,5 @@ def to_dot(t: Tournament) -> str:
 def to_json_adjacency(t: Tournament) -> dict:
     return {
         "n": t.n,
-        "rows": core.bit_strings(t.n, t.rows),
+        "rows": _bit_strings(t),
     }

@@ -33,7 +33,7 @@ from .core import (
     strong_decomposition,
 )
 from .domination import _exceeds_two, gamma_exceeds
-from .errors import HypothesisNotSatisfied, NotRegular
+from .errors import HypothesisNotSatisfied, InvariantViolation, NotRegular
 from .generators import Symbol, rotational
 from .orthogonality import is_in_quadrangular, is_out_quadrangular, is_quadrangular
 
@@ -222,9 +222,11 @@ _value = itemgetter(1)  # the truth value of a (condition name, truth value) pai
 def classify(t: Tournament, facts: Optional[Facts] = None) -> ClassificationTrace:
     """Decide quadrangularity by the first applicable rule of RULES.
 
-    facts, if given, must be Facts(t).
+    facts, if given, must be the Facts of t or of a tournament equal to it.
     """
     f = Facts(t) if facts is None else facts
+    if f.t is not t and f.t != t:
+        raise InvariantViolation("classify was given the Facts of another tournament")
     for rule in RULES.values():
         subjects = rule.subjects(f)
         if subjects:

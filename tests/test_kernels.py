@@ -51,6 +51,7 @@ from quadtour.core import (
     first_pair_sharing_one,
     dual,
     induced,
+    strong_decomposition,
     validate,
 )
 from quadtour.domination import (
@@ -713,6 +714,15 @@ def test_induced_matches_brute():
         for _ in range(5):
             keep = [rng.randrange(t.n) for _ in range(rng.randint(1, 2 * t.n))]
             assert induced(t, keep) == brute_induced(t, keep)
+    # A relabelled glue of two QR_103 copies: its two strong components are
+    # scattered over all 206 labels.
+    t = relabel(_glue(quadratic_residue(103)), rng)
+    keeps = list(strong_decomposition(t).components)
+    keeps += [rng.sample(range(t.n), t.n // 2) for _ in range(4)]
+    keeps += [[rng.randrange(t.n)], range(t.n)]
+    assert [len(keep) for keep in keeps[:2]] == [103, 103]
+    for keep in keeps:
+        assert induced(t, keep) == brute_induced(t, keep)
 
 
 def test_induced_names_smallest_out_of_range_vertex():

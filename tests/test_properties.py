@@ -3,10 +3,12 @@
 The row-pair scan, core._pairs_sharing(rows, c), is compared with brute
 force on random 0/1 patterns of 201 to 300 rows, 1 to 400 columns wide and
 sparse, about half or dense, so every drawn input is longer than the row
-gate and walks the screen.  classify, the oracle and every verifier give the
-same answers on a tournament and on any relabelling of it.  Text read as a
-matrix file either parses to a tournament that survives a render and parse
-round trip or raises MatrixParseError.
+gate and walks the screen.  core.columns, the one transpose, matches an entry
+by entry transpose at any sorted picks of columns, and induced matches an arc
+by arc sub-tournament on random keep lists.  classify, the oracle and every
+verifier give the same answers on a tournament and on any relabelling of it.
+Text read as a matrix file either parses to a tournament that survives a
+render and parse round trip or raises MatrixParseError.
 """
 
 import random
@@ -16,12 +18,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from quadtour.core import columns, induced
 from quadtour.errors import MatrixParseError
 from quadtour.generators import augment, random_tournament
 from quadtour.matrixio import parse_tournament, render_tournament
 from quadtour.orthogonality import is_quadrangular
 from quadtour.theorems import Facts, classify
 
+from helpers import brute_induced, brute_transpose
 from test_kernels import _assert_kernel_matches_brute, relabel
 from test_theorems import ROT11, SHARED_VERIFIERS, _outcome
 
@@ -36,6 +40,31 @@ def test_screened_scan_matches_brute(seed, width, density):
     rows = tuple(sum(1 << col for col in range(width) if rng.random() < density)
                  for _ in range(rng.randint(201, 300)))
     _assert_kernel_matches_brute(rows)
+
+
+# Density 0 draws all-zero rows, a height of 0 a matrix with no rows, and a
+# share of 0 no picks.  The width comes from the seed: hypothesis' own draws
+# of it stay narrow.
+@settings(DERANDOMIZED, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), height=st.integers(0, 300),
+       density=st.sampled_from((0.0, 0.02, 0.5, 0.95)), share=st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+def test_columns_match_brute_transpose(seed, height, density, share):
+    rng = random.Random(seed)
+    width = rng.randint(1, 300)
+    rows = tuple(sum(1 << col for col in range(width) if rng.random() < density)
+                 for _ in range(height))
+    picks = [col for col in range(width) if rng.random() < share]
+    want = brute_transpose(height, width, rows)
+    assert columns(width, rows) == list(want)
+    assert columns(width, rows, picks) == [want[col] for col in picks]
+
+
+@settings(DERANDOMIZED, max_examples=300)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_induced_matches_brute_on_random_keep_lists(n, seed, data):
+    t = random_tournament(n, seed)
+    keep = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    assert induced(t, keep) == brute_induced(t, keep)
 
 
 def _answers(t):

@@ -88,6 +88,14 @@ class TestClassify:
     def test_trivial_small(self):
         assert classify(single_arc()).rule == "trivial-small"
 
+    def test_refuses_another_tournaments_facts(self):
+        # augment(QR_7) is transmitter-receiver and quadrangular; QR_7 is not.
+        with pytest.raises(errors.InvariantViolation, match="Facts of another tournament"):
+            classify(QR7, Facts(augment(QR7, True, True)))
+        copy = Tournament(QR7.n, list(QR7.rows))
+        assert copy is not QR7
+        assert classify(QR7, Facts(copy)) == classify(QR7)
+
     def test_named_instances_agree_with_oracle(self):
         for t in named_corpus():
             assert classify(t).verdict == is_quadrangular(t)
